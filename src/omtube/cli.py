@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, coupling, geometry, mc, om, sde
 from .errors import EstimationError, OmtubeError
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import CubicSpline
 
 from .errors import ChartDomainError, ConstructionError, NumericError
@@ -212,38 +213,56 @@ def warped_diagonal(d, profile="bump"):
 _Z_CUT = 0.15
 
 
+def _by_branch(small, z, series, direct):
+    """series(z) where ``small`` holds and direct(z) elsewhere.
+
+    Each branch is evaluated only on its own lanes.  Both functions map an
+    array to an array of the same trailing shape (leading axes may stack
+    several results).
+    """
+    if small.all():
+        return series(z)
+    if not small.any():
+        return direct(z)
+    lo = series(z[small])
+    out = np.empty(lo.shape[:-1] + z.shape)
+    out[..., small] = lo
+    out[..., ~small] = direct(z[~small])
+    return out
+
+
 def _cot_minus_inv(z):
     """cot(z) - 1/z."""
     z = np.asarray(z, dtype=float)
-    series = -(z / 3 + z ** 3 / 45 + 2 * z ** 5 / 945 + z ** 7 / 4725 + 2 * z ** 9 / 93555)
-    zs = np.where(z < _Z_CUT, 1.0, z)
-    direct = np.cos(zs) / np.sin(zs) - 1.0 / zs
-    return np.where(z < _Z_CUT, series, direct)
+    return _by_branch(
+        z < _Z_CUT, z,
+        lambda z: -(z / 3 + z ** 3 / 45 + 2 * z ** 5 / 945 + z ** 7 / 4725 + 2 * z ** 9 / 93555),
+        lambda z: np.cos(z) / np.sin(z) - 1.0 / z)
 
 
 def _coth_minus_inv(z):
     z = np.asarray(z, dtype=float)
-    series = z / 3 - z ** 3 / 45 + 2 * z ** 5 / 945 - z ** 7 / 4725 + 2 * z ** 9 / 93555
-    zs = np.where(z < _Z_CUT, 1.0, z)
-    direct = np.cosh(zs) / np.sinh(zs) - 1.0 / zs
-    return np.where(z < _Z_CUT, series, direct)
+    return _by_branch(
+        z < _Z_CUT, z,
+        lambda z: z / 3 - z ** 3 / 45 + 2 * z ** 5 / 945 - z ** 7 / 4725 + 2 * z ** 9 / 93555,
+        lambda z: np.cosh(z) / np.sinh(z) - 1.0 / z)
 
 
 def _one_minus_zsin2_over_z(z):
     """(1 - (z/sin z)^2) / z."""
     z = np.asarray(z, dtype=float)
-    series = -(z / 3 + z ** 3 / 15 + 2 * z ** 5 / 189 + z ** 7 / 675 + 2 * z ** 9 / 10395)
-    zs = np.where(z < _Z_CUT, 1.0, z)
-    direct = (1.0 - (zs / np.sin(zs)) ** 2) / zs
-    return np.where(z < _Z_CUT, series, direct)
+    return _by_branch(
+        z < _Z_CUT, z,
+        lambda z: -(z / 3 + z ** 3 / 15 + 2 * z ** 5 / 189 + z ** 7 / 675 + 2 * z ** 9 / 10395),
+        lambda z: (1.0 - (z / np.sin(z)) ** 2) / z)
 
 
 def _one_minus_zsinh2_over_z(z):
     z = np.asarray(z, dtype=float)
-    series = z / 3 - z ** 3 / 15 + 2 * z ** 5 / 189 - z ** 7 / 675 + 2 * z ** 9 / 10395
-    zs = np.where(z < _Z_CUT, 1.0, z)
-    direct = (1.0 - (zs / np.sinh(zs)) ** 2) / zs
-    return np.where(z < _Z_CUT, series, direct)
+    return _by_branch(
+        z < _Z_CUT, z,
+        lambda z: z / 3 - z ** 3 / 15 + 2 * z ** 5 / 189 - z ** 7 / 675 + 2 * z ** 9 / 10395,
+        lambda z: (1.0 - (z / np.sinh(z)) ** 2) / z)
 
 
 def _sinc(z):
@@ -252,9 +271,21 @@ def _sinc(z):
 
 def _sinhc(z):
     z = np.asarray(z, dtype=float)
-    series = 1.0 + z * z / 6 + z ** 4 / 120 + z ** 6 / 5040
-    zs = np.where(z < 1e-3, 1.0, z)
-    return np.where(z < 1e-3, series, np.sinh(zs) / zs)
+    return _by_branch(z < 1e-3, z,
+                      lambda z: 1.0 + z * z / 6 + z ** 4 / 120 + z ** 6 / 5040,
+                      lambda z: np.sinh(z) / z)
+
+
+# Curl scalars of the 1-form g b (see ``om.alpha_kernel``) as functions of
+# w = K rho^2.  With F(w) = tl^2 = sum_{n>=1} (-1)^(n+1) 2^(2n-1) w^(n-1)/(2n)!
+# and G(w) = (F(w) - 1)/w = sum_m a_m w^m:
+#     phi = F = 1 + w G,    psi = -K G,    P = 2 K F'(w) - psi = K sum_m (2m+3) a_m w^m.
+# The series is used below W_CUT, where it is truncated after w^7 (error
+# below 1e-16); above it the direct forms lose at most ~6 eps / |w|.
+_W_CUT = 0.25
+_G_SERIES = tuple((-1) ** (m + 1) * 2.0 ** (2 * m + 3) / math.factorial(2 * m + 4)
+                  for m in range(8))
+_P_SERIES = tuple((2 * m + 3) * a for m, a in enumerate(_G_SERIES))
 
 
 class _RadialScalars:
@@ -305,6 +336,28 @@ class _RadialScalars:
             _one_minus_zsin2_over_z, _one_minus_zsinh2_over_z, -1.0 / 3.0, 1.0 / 3.0, rho
         )
         return 0.5 * (self.d - 1) * self.k ** 2 * val
+
+    def curl_scalars(self, rho2):
+        """(phi, psi, P) stacked on a leading axis, at squared radius rho2:
+        phi = tl^2, psi = (1 - tl^2)/rho^2 and P = phi'(rho)/rho - psi, the
+        coefficients of curl(g b)."""
+        w = self.K * np.asarray(rho2, dtype=float)
+        return _by_branch(np.abs(w) < _W_CUT, w, self._curl_series, self._curl_direct)
+
+    def _curl_series(self, w):
+        G = polyval(w, _G_SERIES)
+        return np.stack((1.0 + w * G, -self.K * G, self.K * polyval(w, _P_SERIES)))
+
+    def _curl_direct(self, w):
+        z2 = np.abs(w)
+        z = np.sqrt(z2)
+        if self.K > 0:
+            s, c = np.sin(z), np.cos(z)
+        else:
+            s, c = np.sinh(z), np.cosh(z)
+        s2 = s * s
+        scale = abs(self.K) / (z2 * z2)
+        return np.stack((s2 / z2, scale * (z2 - s2), scale * (2.0 * z * s * c - s2 - z2)))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +652,6 @@ def ambient_curvature(ambient, y):
     """
     gam = ambient.christoffel(y)
     dgam = ambient.dchristoffel(y)
-    up = (np.einsum("...kmli->...milk", dgam) * 0.0)  # shape helper
     # R^m_{jkl} = d_k Gamma^m_{lj} - d_l Gamma^m_{kj}
     #           + Gamma^m_{ka} Gamma^a_{lj} - Gamma^m_{la} Gamma^a_{kj}
     up = (np.einsum("...kmlj->...mjkl", dgam) - np.einsum("...lmkj->...mjkl", dgam)

@@ -155,9 +155,15 @@ def _resolve_threads(threads):
 
 
 def _chart_payload(chart, field):
-    """Descriptor payload for worker-side rebuild, or None when not possible."""
+    """Descriptor payload for worker-side rebuild, or None when not possible.
+
+    Only closed-form charts are rebuilt from descriptors: a worker would
+    rebuild a shot chart or a ``PrecomputedChart`` as a different chart.
+    """
     if chart is None:
         return {"model": None, "field": None}
+    if not chart.is_radial:
+        return None
     curve = chart.curve
     if curve.kind not in ("constant", "line", "great_circle", "table"):
         return None
@@ -367,8 +373,11 @@ def extrapolate_ratio(results):
     ses = np.array([r[2] for r in rows], dtype=float)
     if np.any(ratios <= 0) or not np.all(np.isfinite(ratios)):
         raise EstimationError("extrapolation needs finite positive ratios")
+    if np.any(ses <= 0) or not np.all(np.isfinite(ses)):
+        raise EstimationError("extrapolation needs finite positive standard errors; "
+                              "a zero SE would give its cell unbounded weight")
     y = np.log(ratios)
-    sig = np.where(ses > 0, ses / ratios, 1e-12)
+    sig = ses / ratios
     X = np.stack([np.ones_like(deltas), np.sqrt(deltas), deltas], axis=1)
     W = 1.0 / sig ** 2
     XtW = X.T * W

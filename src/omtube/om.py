@@ -8,7 +8,7 @@ with R the scalar curvature in the convention where the round sphere has
 R > 0.  The sign of the curvature term is fixed by the exact Dirichlet
 eigenvalue shift of small geodesic balls (positive curvature *raises* the
 probability of staying in a small tube), and the package's Monte Carlo
-ratio experiments confirm it; see the README.
+ratio experiments confirm it.
 
 The measure change between the lifted process and the radial reference
 uses the spatial 1-form
@@ -25,6 +25,20 @@ and the trace-free spherical function
     beta(t, u) = -(d/12) sum_ij Ric_ij(gamma(t)) (u^i u^j - delta^ij / d),
 
 which vanishes identically on Einstein manifolds.
+
+On the closed-form (radial) charts the curl has a closed form.  There a
+and c are parallel to x and g x = x, so g(a - c) is an exact radial form;
+only g b = tl^2 b + (1 - tl^2)(u.b) u contributes.  For a drift with a
+constant Jacobian A (b = A x - gamma_dot):
+
+    curl_ij = P (x_i b_j - x_j b_i) + phi (A_ji - A_ij)
+              + psi ((A^T x)_i x_j - (A^T x)_j x_i),
+
+with phi = tl^2, psi = (1 - tl^2)/rho^2 and P = phi'(rho)/rho - psi
+(``_RadialScalars.curl_scalars``).  ``alpha_kernel`` integrates these
+scalars over s and needs no evaluation of alpha.  Custom and table fields,
+shot charts and ``PrecomputedChart`` take the finite-difference route
+(``_alpha_kernel_fd``).
 """
 
 from dataclasses import dataclass
@@ -63,7 +77,9 @@ class DriftField:
 
     ``div_f`` may supply the analytic divergence; otherwise a 4th-order
     central difference is used with step ``h`` passed by the caller
-    (1e-4 of the tube radius in the operations below).
+    (1e-4 of the tube radius in the operations below).  ``jacobian`` is the
+    constant matrix A of a field f(t, x) = A x, when known; radial charts
+    then evaluate ``alpha_kernel`` in closed form.
     """
 
     d: int
@@ -71,6 +87,7 @@ class DriftField:
     div_f: object = None
     kind: str = "custom"
     params: dict = None
+    jacobian: np.ndarray = None
 
     def __call__(self, t, x):
         return np.asarray(self.f(t, np.asarray(x, dtype=float)), dtype=float)
@@ -91,7 +108,7 @@ class DriftField:
 def zero_field(d):
     return DriftField(d=d, f=lambda t, x: np.zeros_like(x),
                       div_f=lambda t, x: np.zeros(np.shape(x)[:-1]),
-                      kind="zero", params={})
+                      kind="zero", params={}, jacobian=np.zeros((d, d)))
 
 
 def linear_field(A, d=None):
@@ -107,7 +124,7 @@ def linear_field(A, d=None):
         d=d,
         f=lambda t, x: np.einsum("ij,...j->...i", A, x),
         div_f=lambda t, x: np.full(np.shape(x)[:-1], tr),
-        kind="linear", params={"A": A},
+        kind="linear", params={"A": A}, jacobian=A,
     )
 
 
@@ -119,6 +136,7 @@ def rotational_field(omega=1.0):
         f=lambda t, x: w * np.stack([-x[..., 1], x[..., 0]], axis=-1),
         div_f=lambda t, x: np.zeros(np.shape(x)[:-1]),
         kind="rotational", params={"omega": w},
+        jacobian=np.array([[0.0, -w], [w, 0.0]]),
     )
 
 
@@ -253,15 +271,48 @@ def _gauss_legendre_01(n):
     return _GL_CACHE[n]
 
 
-def alpha_kernel(chart, field, t, x, n_gauss=8, fd_h=None):
+def alpha_kernel(chart, field, t, x, n_gauss=8):
     """Antisymmetric kernel K_ij(t,x) = (1/2) int_0^1 s curl(alpha)(t,sx) ds.
 
-    Radial Gauss-Legendre quadrature in s, 4th-order central differences for
-    the curl.  The result is exactly antisymmetric by construction.
+    Radial Gauss-Legendre quadrature in s.  On radial charts with a
+    constant-Jacobian field the curl is closed form (see the module
+    docstring); otherwise it comes from ``_alpha_kernel_fd``.  The result
+    is exactly antisymmetric by construction.
     """
+    A = field.jacobian
+    if A is None or not chart.is_radial:
+        return _alpha_kernel_fd(chart, field, t, x, n_gauss)
     x = np.asarray(x, dtype=float)
     d = chart.d
-    h = fd_h or 1e-3 * chart.tube_radius
+    s, w = _gauss_legendre_01(n_gauss)
+    rho2 = np.einsum("...i,...i->...", x, x)
+    phi, psi, P = chart._scalars.curl_scalars(np.multiply.outer(s * s, rho2))
+    # s-moments of the curl scalars; b(s x) = s A x - v
+    I_phi = np.tensordot(w * s, phi, 1)[..., None]
+    I_P1 = np.tensordot(w * s ** 2, P, 1)[..., None]
+    I_P2 = np.tensordot(w * s ** 3, P, 1)[..., None]
+    I_psi = np.tensordot(w * s ** 3, psi, 1)[..., None]
+    iu, ju = np.triu_indices(d, 1)
+
+    def wedge(a, b):
+        return a[..., iu] * b[..., ju] - a[..., ju] * b[..., iu]
+
+    v = chart.velocity_frame(t)
+    upper = 0.5 * (I_P2 * wedge(x, x @ A.T) - I_P1 * wedge(x, v)
+                   + I_phi * (A.T - A)[iu, ju] - I_psi * wedge(x, x @ A))
+    K = np.zeros(x.shape[:-1] + (d, d))
+    K[..., iu, ju] = upper
+    K[..., ju, iu] = -upper
+    return K
+
+
+def _alpha_kernel_fd(chart, field, t, x, n_gauss=8):
+    """``alpha_kernel`` with the curl from 4th-order central differences of
+    ``alpha_form`` (step 1e-3 of the tube radius); valid for any chart and
+    field."""
+    x = np.asarray(x, dtype=float)
+    d = chart.d
+    h = 1e-3 * chart.tube_radius
     nodes, weights = _gauss_legendre_01(n_gauss)
     K = np.zeros(x.shape[:-1] + (d, d))
     for s, w in zip(nodes, weights):

@@ -8,9 +8,10 @@ Two entry styles:
   record one full trajectory as a :class:`PathSample`; the driving noise
   comes from a Philox stream keyed by ``(seed, path_index)``.
 * ``run_tube_ensemble`` steps many paths at once (vectorized over fixed
-  4096-lane chunks with per-chunk Philox streams) and returns survival
-  counts plus whatever terminal statistics were requested.  Identical
-  ``(seed, cfg)`` give bit-identical results for any worker count.
+  32768-lane chunks, ``_rng.CHUNK``, with per-chunk Philox streams) and
+  returns survival counts plus whatever terminal statistics were
+  requested.  Identical ``(seed, cfg)`` give bit-identical results for
+  any worker count.
 
 The denominator of the tube-probability ratio is always simulated with the
 same time step and the same exit monitoring as the numerator, so the

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from omtube import geometry as geo
+
+# Property tests draw from a fixed seed so that tier-1 stays deterministic,
+# and a bounded example count keeps its wall time bounded.
+settings.register_profile("omtube", derandomize=True, deadline=None,
+                          max_examples=60, database=None)
+settings.load_profile("omtube")
 
 
 def fit_slope(xs, ys):

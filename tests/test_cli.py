@@ -58,7 +58,7 @@ def test_jmap_check_artifact(tmp_path, capsys):
                     "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == 1
+    assert doc["schema"] == cli.SCHEMA
     assert doc["results"]["passed"] is True
     assert doc["results"]["n"] == 7
     assert "max deviation" in capsys.readouterr().out
@@ -113,6 +113,20 @@ def test_ratio_estimation_error_exit_3(tmp_path, capsys):
     assert doc["status"] == "estimation_error"
     assert "error" in doc["results"]
     assert "estimation error" in capsys.readouterr().err
+
+
+def test_ratio_zero_se_extrapolation_exit_3(tmp_path):
+    # every path survives these wide tubes, so each cell's binomial SE is 0
+    # and the extrapolation has no honest weights
+    out = tmp_path / "zero_se.json"
+    code = run_cli(["ratio", "--model", "euclidean", "--dim", "2",
+                    "--curve", "constant", "--T", "1e-3", "--delta", "3,2.5,2",
+                    "--dt", "5e-4", "--paths", "1000", "--seed", "1",
+                    "--out", str(out)])
+    assert code == 3
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "estimation_error"
+    assert "standard errors" in doc["results"]["error"]
 
 
 def test_couple_csv(tmp_path):

@@ -133,6 +133,15 @@ def test_extrapolate_needs_three():
                               (0.1, 1.0, 1e-3)])
 
 
+@pytest.mark.parametrize("bad_se", [0.0, -1e-3, float("nan"), float("inf")])
+def test_extrapolate_rejects_degenerate_se(bad_se):
+    # a zero SE used to become sigma = 1e-12, i.e. a cell weight of 1e24
+    rows = [(0.3, 1.0, 1e-3), (0.2, 1.0, bad_se), (0.1, 1.0, 1e-3),
+            (0.05, 1.0, 1e-3)]
+    with pytest.raises(EstimationError, match="standard errors"):
+        mc.extrapolate_ratio(rows)
+
+
 # ---------------------------------------------------------------------------
 # conditional weight
 # ---------------------------------------------------------------------------
@@ -211,6 +220,20 @@ def test_bootstrap_agrees_with_delta_method(euclid2_chart):
 # ---------------------------------------------------------------------------
 # payload rebuild (worker-side setup)
 # ---------------------------------------------------------------------------
+
+def test_precomputed_chart_pool_falls_back_to_one_worker(warped3_chart):
+    # a grid chart cannot be rebuilt from its descriptor in a worker, so a
+    # pooled run warns and runs in-process with the same counts
+    chart = geo.PrecomputedChart(warped3_chart, n_nodes=5)
+    kw = dict(chart=chart, field=om.zero_field(3), delta=0.1, dt=2e-4, T=1e-3,
+              n_paths=1000, seed=4)
+    one = mc.estimate_tube_prob("x", threads=1, **kw)
+    with pytest.warns(UserWarning, match="single-threaded"):
+        two = mc.estimate_tube_prob("x", threads=2, **kw)
+    assert (two.n_paths, two.n_survive) == (one.n_paths, one.n_survive)
+    assert mc._chart_payload(chart, om.zero_field(3)) is None
+    assert mc._chart_payload(warped3_chart, None) is None
+
 
 def test_rebuild_setup_round_trip():
     model = geo.sphere(2, 1.0)

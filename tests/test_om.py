@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from omtube import geometry as geo, om
 from omtube.errors import UnitVectorError
@@ -162,6 +164,78 @@ def test_alpha_kernel_gauge_invariance(euclid2_chart):
     K1 = om.alpha_kernel(euclid2_chart, base, 0.0, x)
     K2 = om.alpha_kernel(euclid2_chart, field2, 0.0, x)
     assert np.max(np.abs(K1 - K2)) < 1e-9
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A closed-form chart, a constant-Jacobian field, a time and points
+    inside the tube (the origin among them)."""
+    kind = draw(st.sampled_from(["sphere", "hyperbolic", "euclidean"]))
+    d = draw(st.sampled_from([2, 3]))
+    scale = draw(st.floats(0.5, 2.0))
+    model = {"sphere": lambda: geo.sphere(d, scale),
+             "hyperbolic": lambda: geo.hyperbolic(d, scale),
+             "euclidean": lambda: geo.euclidean(d)}[kind]()
+    tube = draw(st.floats(0.15, 1.2)) * scale  # sphere charts need < pi/2 scale
+    curve_kind = draw(st.sampled_from(["constant", "line", "great_circle"]))
+    speed = draw(st.floats(-2.0, 2.0))
+    if curve_kind == "great_circle" and kind == "sphere":
+        curve = geo.great_circle_curve(model, speed, 1.0)
+    elif curve_kind == "line" and kind == "euclidean":
+        curve = geo.line_curve(speed * np.eye(d)[0] + 0.5 * np.eye(d)[-1], 1.0)
+    else:
+        curve = geo.constant_curve(1.0)
+    chart = geo.fermi_chart(model, curve, tube)
+    field_kind = draw(st.sampled_from(["zero", "linear", "rotational"]))
+    if field_kind == "zero":
+        field = om.zero_field(d)
+    elif field_kind == "rotational" and d == 2:
+        field = om.rotational_field(draw(st.floats(-2.0, 2.0)))
+    else:
+        field = om.linear_field(draw(arrays(float, (d, d),
+                                            elements=st.floats(-2.0, 2.0))))
+    t = draw(st.floats(0.0, 1.0))
+    cube = draw(arrays(float, (draw(st.integers(1, 6)), d),
+                       elements=st.floats(-1.0, 1.0)))
+    x = np.vstack([np.zeros(d), cube * (0.99 * tube / np.sqrt(d))])
+    return chart, field, t, x
+
+
+@given(_kernel_cases())
+def test_alpha_kernel_closed_form_matches_fd(case):
+    chart, field, t, x = case
+    K = om.alpha_kernel(chart, field, t, x)
+    assert np.max(np.abs(K - om._alpha_kernel_fd(chart, field, t, x))) <= 1e-11
+    assert np.array_equal(K, -np.swapaxes(K, -1, -2))
+    # an unbatched point gives the same kernel as its row of the batch
+    K1 = om.alpha_kernel(chart, field, t, x[-1])
+    assert K1.shape == (chart.d, chart.d)
+    assert np.max(np.abs(K1 - K[-1])) <= 1e-15
+
+
+def test_alpha_kernel_routing(sphere2_chart, warped3_chart, monkeypatch):
+    rng = np.random.default_rng(21)
+    x = random_ball_points(rng, 2, 0.5, 6)
+    A = np.array([[0.3, -1.1], [0.4, 0.2]])
+    custom = om.DriftField(d=2, f=om.linear_field(A).f, kind="custom", params={})
+    axes = (np.linspace(-1, 1, 9),) * 2
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    table = om.table_field(axes, mesh @ A.T)
+    for field in (custom, table):
+        assert np.array_equal(om.alpha_kernel(sphere2_chart, field, 0.0, x),
+                              om._alpha_kernel_fd(sphere2_chart, field, 0.0, x))
+    grid = geo.PrecomputedChart(warped3_chart, n_nodes=5)
+    x3 = random_ball_points(rng, 3, 0.2, 4)
+    field = om.zero_field(3)
+    assert np.array_equal(om.alpha_kernel(grid, field, 0.0, x3),
+                          om._alpha_kernel_fd(grid, field, 0.0, x3))
+
+    # the closed form evaluates no alpha form at all
+    def no_alpha_form(*args):
+        raise AssertionError("closed-form kernel called alpha_form")
+
+    monkeypatch.setattr(om, "alpha_form", no_alpha_form)
+    om.alpha_kernel(sphere2_chart, om.linear_field(A), 0.0, x)
 
 
 def test_tabulated_forms_match_direct(warped3_chart):
