@@ -3,8 +3,9 @@
 Every run writes a JSON artifact embedding the schema version, the package
 version, and the fully resolved configuration, so identical (config, seed)
 pairs produce bit-identical artifacts under any worker count
-(``OMTUBE_THREADS`` caps the pool).  Flags may be combined with an INI
-config file (section ``[run]``); flags override file values.
+(``OMTUBE_THREADS`` caps the pool, a fork-inherited process pool, so
+POSIX only).  Flags may be combined with an INI config file (section
+``[run]``); flags override file values.
 
 Exit codes: 0 success, 2 invalid configuration, 3 estimation failure
 (for example too few surviving paths); on estimation failure the partial
@@ -257,9 +258,7 @@ def _cmd_ratio(cfg):
 
 def _cmd_couple(cfg):
     chart, field = _setup(cfg)
-    rows = [["delta", "dt", "paths", "survivors", "radial_gap_max",
-             "orthogonality_stat", "h2_le_g_violations",
-             "tail_q50", "tail_q90", "tail_q99"]]
+    rows = [list(coupling.DIAGNOSTICS_HEADER)]
     out = []
     for delta in cfg["delta"]:
         ens = mc.run_coupled(chart, field, delta=delta, dt=cfg["dt"], T=cfg["T"],

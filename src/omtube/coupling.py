@@ -16,7 +16,7 @@ area-integral martingale M_p.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,10 +34,12 @@ __all__ = [
     "omega_matrix",
     "inner_product_sde_step",
     "CoupledEnsemble",
+    "RECORDS",
     "simulate_coupled_ensemble",
     "martingale_Mp",
     "delta_tail_estimate",
     "stokes_consistency",
+    "DIAGNOSTICS_HEADER",
     "write_diagnostics_csv",
 ]
 
@@ -293,8 +295,8 @@ class CoupledEnsemble:
     """Per-path terminal records of a coupled simulation.
 
     Paths that exit the tube are frozen at their exit step; ``survived``
-    marks the paths that stayed inside for the whole horizon.  All arrays
-    have length n_paths.
+    marks the paths that stayed inside for the whole horizon.  The array
+    fields, listed in ``RECORDS``, have length n_paths.
     """
 
     n_paths: int
@@ -324,6 +326,27 @@ class CoupledEnsemble:
 
     def martingale_Mp(self, p):
         return martingale_Mp(self, p)
+
+    @classmethod
+    def concat(cls, parts):
+        """Join ensembles over consecutive chunk ranges, given in chunk order."""
+        if len(parts) == 1:
+            return parts[0]
+        first = parts[0]
+        return cls(n_paths=sum(p.n_paths for p in parts), delta=first.delta,
+                   dt=first.dt, T=first.T,
+                   h2_le_g_violations=sum(p.h2_le_g_violations for p in parts),
+                   w0_identity_dev=max(p.w0_identity_dev for p in parts),
+                   **{k: np.concatenate([getattr(p, k) for p in parts]) for k in RECORDS})
+
+
+RECORDS = tuple(f.name for f in fields(CoupledEnsemble) if f.type is np.ndarray)
+
+# launch values of the running per-lane state: the records that accumulate
+# along the path, plus the Lemma-uu prediction behind ``uu_pred_gap``
+_RUNNING = {"max_radial_gap": 0.0, "uu_final": 1.0, "uu_pred": 1.0, "sup_udiff": 0.0,
+            "M_ito": 0.0, "M_bracket": 0.0, "L": 0.0, "L_tilde": 0.0, "G_int": 0.0,
+            "nu": 0.0, "ortho_cov": 0.0}
 
 
 def martingale_Mp(records, p):
@@ -355,15 +378,13 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, jmaps=None,
     chunks = list(_rng.iter_chunks(n_paths))
     if chunk_range is not None:
         chunks = [(jj, m) for (jj, m) in chunks if chunk_range[0] <= jj < chunk_range[1]]
+    track = forms if track_forms is not False else None
 
-    acc = {k: [] for k in ("survived", "exit_time", "max_radial_gap", "uu_final",
-                           "sup_udiff", "udiff_final", "M_ito", "M_bracket", "L",
-                           "L_tilde", "G_int", "nu", "ortho_cov", "uu_pred_gap")}
-    h2_viol = 0
-    w0_dev_max = 0.0
-
+    parts = []
     for chunk_id, m in chunks:
         gen = _rng.chunk_generator(cfg.seed, chunk_id)
+        h2_viol = 0
+        w0_dev_max = 0.0
 
         # launch: one plain Gaussian step shared by both processes
         G0 = gen.standard_normal((m, d))
@@ -372,54 +393,22 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, jmaps=None,
         r0 = np.linalg.norm(Y, axis=-1)
         degenerate = r0 < 1e-300
 
-        # full-length per-path records, scattered into at exit / at the end
         exited = np.zeros(m, dtype=bool)
         tex = np.full(m, np.nan)
-        maxgap_f = np.zeros(m)
-        uu_f = np.ones(m)
-        uup_f = np.ones(m)
-        supdev_f = np.zeros(m)
-        Mito_f = np.zeros(m)
-        Mbrk_f = np.zeros(m)
-        L_f = np.zeros(m)
-        Lt_f = np.zeros(m)
-        Gint_f = np.zeros(m)
-        nu_f = np.zeros(m)
-        ortho_f = np.zeros(m)
-
         live = ~degenerate & (r0 < delta)
         exited[~live & ~degenerate] = True
         tex[~live & ~degenerate] = cfg.dt
         lanes = np.nonzero(live)[0]
         Y, Yt = Y[lanes], Yt[lanes]
-        # compacted running state
-        maxgap = np.zeros(lanes.size)
-        uu = np.ones(lanes.size)
-        uu_pred = np.ones(lanes.size)
-        supdev = np.zeros(lanes.size)
-        M_ito = np.zeros(lanes.size)
-        M_brk = np.zeros(lanes.size)
-        Lacc = np.zeros(lanes.size)
-        Ltacc = np.zeros(lanes.size)
-        G_int = np.zeros(lanes.size)
-        nu = np.zeros(lanes.size)
-        ortho = np.zeros(lanes.size)
+        # full-length records, scattered into at exit / at the end, and the
+        # compacted running state of the live lanes
+        rec = {k: np.full(m, v) for k, v in _RUNNING.items()}
+        run = {k: np.full(lanes.size, v) for k, v in _RUNNING.items()}
 
         def scatter(sel):
-            ids = lanes[sel]
-            maxgap_f[ids] = maxgap[sel]
-            uu_f[ids] = uu[sel]
-            uup_f[ids] = uu_pred[sel]
-            supdev_f[ids] = supdev[sel]
-            Mito_f[ids] = M_ito[sel]
-            Mbrk_f[ids] = M_brk[sel]
-            L_f[ids] = Lacc[sel]
-            Lt_f[ids] = Ltacc[sel]
-            Gint_f[ids] = G_int[sel]
-            nu_f[ids] = nu[sel]
-            ortho_f[ids] = ortho[sel]
+            for name, v in run.items():
+                rec[name][lanes[sel]] = v[sel]
 
-        track = forms if track_forms is not False else None
         for k in range(1, n_steps):
             if lanes.size == 0:
                 break  # later draws are never consumed
@@ -431,27 +420,28 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, jmaps=None,
 
             Rn = np.linalg.norm(res["Y"], axis=-1)
             Rtn = np.linalg.norm(res["Yt"], axis=-1)
-            maxgap = np.maximum(maxgap, np.abs(Rn - Rtn))
+            run["max_radial_gap"] = np.maximum(run["max_radial_gap"], np.abs(Rn - Rtn))
 
             # H^2 <= G must hold pointwise; count violations with a tiny slack
             h2_viol += int(np.count_nonzero(
                 res["H"] ** 2 > res["G"] * (1 + 1e-12) + 1e-30))
 
-            uu_pred = (uu_pred + res["R"] * res["H"] * res["dW1"]
-                       - 0.5 * res["R"] ** 2 * res["G"] * uu_pred * cfg.dt)
-            nu = nu + res["dnu"] * np.exp(G_int)
-            G_int = G_int + res["dG_int"]
-            M_ito = M_ito + res["dM_ito"]
-            M_brk = M_brk + res["dM_bracket"]
-            Lacc = Lacc + res["dL"]
-            Ltacc = Ltacc + res["dLt"]
+            run["uu_pred"] = (run["uu_pred"] + res["R"] * res["H"] * res["dW1"]
+                              - 0.5 * res["R"] ** 2 * res["G"] * run["uu_pred"] * cfg.dt)
+            run["nu"] = run["nu"] + res["dnu"] * np.exp(run["G_int"])
+            run["G_int"] = run["G_int"] + res["dG_int"]
+            run["M_ito"] = run["M_ito"] + res["dM_ito"]
+            run["M_bracket"] = run["M_bracket"] + res["dM_bracket"]
+            run["L"] = run["L"] + res["dL"]
+            run["L_tilde"] = run["L_tilde"] + res["dLt"]
             if d >= 2:
                 dA01 = (0.5 * (Y[:, 0] + res["Y"][:, 0]) * (res["Y"][:, 1] - Y[:, 1])
                         - 0.5 * (Y[:, 1] + res["Y"][:, 1]) * (res["Y"][:, 0] - Y[:, 0]))
-                ortho = ortho + dA01 * (Rn - res["R"])
+                run["ortho_cov"] = run["ortho_cov"] + dA01 * (Rn - res["R"])
             uu = np.einsum("mi,mi->m", res["Y"], res["Yt"]) / (Rn * Rtn)
-            supdev = np.maximum(supdev,
-                                np.sqrt(np.maximum(2.0 * (1.0 - uu), 0.0)))
+            run["uu_final"] = uu
+            run["sup_udiff"] = np.maximum(run["sup_udiff"],
+                                          np.sqrt(np.maximum(2.0 * (1.0 - uu), 0.0)))
             Y = res["Y"]
             Yt = res["Yt"]
 
@@ -464,32 +454,17 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, jmaps=None,
                 keep = ~out
                 lanes = lanes[keep]
                 Y, Yt = Y[keep], Yt[keep]
-                maxgap, uu, uu_pred, supdev = (maxgap[keep], uu[keep],
-                                               uu_pred[keep], supdev[keep])
-                M_ito, M_brk, Lacc, Ltacc = (M_ito[keep], M_brk[keep],
-                                             Lacc[keep], Ltacc[keep])
-                G_int, nu, ortho = G_int[keep], nu[keep], ortho[keep]
+                run = {name: v[keep] for name, v in run.items()}
 
         scatter(np.ones(lanes.size, dtype=bool))
-        acc["survived"].append(~exited & ~degenerate)
-        acc["exit_time"].append(tex)
-        acc["max_radial_gap"].append(maxgap_f)
-        acc["uu_final"].append(uu_f)
-        acc["sup_udiff"].append(supdev_f)
-        acc["udiff_final"].append(np.sqrt(np.maximum(2 * (1 - uu_f), 0.0)))
-        acc["M_ito"].append(Mito_f)
-        acc["M_bracket"].append(Mbrk_f)
-        acc["L"].append(L_f)
-        acc["L_tilde"].append(Lt_f)
-        acc["G_int"].append(Gint_f)
-        acc["nu"].append(nu_f)
-        acc["ortho_cov"].append(ortho_f)
-        acc["uu_pred_gap"].append(uu_f - uup_f)
-
-    cat = {k: np.concatenate(v) for k, v in acc.items()}
-    return CoupledEnsemble(
-        n_paths=int(cat["survived"].size), delta=delta, dt=cfg.dt, T=T,
-        h2_le_g_violations=h2_viol, w0_identity_dev=w0_dev_max, **cat)
+        uu_pred = rec.pop("uu_pred")
+        parts.append(CoupledEnsemble(
+            n_paths=m, delta=delta, dt=cfg.dt, T=T, survived=~exited & ~degenerate,
+            exit_time=tex,
+            udiff_final=np.sqrt(np.maximum(2 * (1 - rec["uu_final"]), 0.0)),
+            uu_pred_gap=rec["uu_final"] - uu_pred, h2_le_g_violations=h2_viol,
+            w0_identity_dev=w0_dev_max, **rec))
+    return CoupledEnsemble.concat(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +550,16 @@ def stokes_consistency(chart, forms, path):
     return line - area
 
 
+DIAGNOSTICS_HEADER = ("delta", "dt", "paths", "survivors", "radial_gap_max",
+                      "orthogonality_stat", "h2_le_g_violations",
+                      "tail_q50", "tail_q90", "tail_q99")
+
+
 def write_diagnostics_csv(fh, rows):
     """Diagnostic CSV: one row per ensemble cell."""
     import csv
 
     writer = csv.writer(fh)
-    writer.writerow(["delta", "dt", "paths", "survivors", "radial_gap_max",
-                     "orthogonality_stat", "h2_le_g_violations",
-                     "tail_q50", "tail_q90", "tail_q99"])
+    writer.writerow(DIAGNOSTICS_HEADER)
     for r in rows:
         writer.writerow(r)

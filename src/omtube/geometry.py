@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.interpolate import CubicSpline
 
 from .errors import ChartDomainError, ConstructionError, NumericError
 
@@ -456,6 +455,8 @@ def great_circle_curve(model, speed, T, n_grid=64):
 
 def table_curve(times, points, T=None, n_grid=64):
     """Curve through sampled points (euclidean models), cubic in t."""
+    from scipy.interpolate import CubicSpline
+
     times = np.asarray(times, dtype=float)
     points = np.asarray(points, dtype=float)
     if times.ndim != 1 or points.shape[0] != times.size:
@@ -732,6 +733,8 @@ class _ShotBackend:
 
 def _transport_frames_ambient(ambient, curve, n_sub=4):
     """Parallel-transport an orthonormal frame along a moving ambient curve."""
+    from scipy.interpolate import CubicSpline
+
     grid = curve.grid
     d = ambient.d
     y0 = np.asarray(curve.gamma(grid[0]), dtype=float)
@@ -775,6 +778,8 @@ def _transport_frames_ambient(ambient, curve, n_sub=4):
 
 def _transport_frames_embedded(model, curve, n_sub=4):
     """Frame transport for moving curves on the sphere / hyperboloid embedding."""
+    from scipy.interpolate import CubicSpline
+
     grid = curve.grid
     d = model.dim
     if model.kind == "sphere":

@@ -8,12 +8,15 @@ splitting), binomial standard errors, numerator and denominator legs always
 sharing the time step and the exit-monitoring scheme so the
 discrete-monitoring bias cancels in the ratio.  All estimators are
 deterministic functions of (seed, configuration), and ensembles can fan
-out over a process pool (``OMTUBE_THREADS``) without changing any output
-bit: chunk streams are keyed by path block, and reductions are combined in
-block order.
+out over a process pool (``OMTUBE_THREADS`` workers) without changing any
+output bit: chunk streams are keyed by path block, and reductions are
+combined in block order.  The pool forks its workers, which inherit the
+caller's chart, field and forms, so any chart or field pools; it needs a
+POSIX ``fork``, and elsewhere one worker runs every slice.
 """
 
 import math
+import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rng, coupling, geometry, om, sde
+from . import _rng, coupling, om, sde
 from .errors import ConstructionError, EstimationError, InsufficientSamplesError
 
 __all__ = [
@@ -154,104 +157,40 @@ def _resolve_threads(threads):
         return 1
 
 
-def _chart_payload(chart, field):
-    """Descriptor payload for worker-side rebuild, or None when not possible.
-
-    Only closed-form charts are rebuilt from descriptors: a worker would
-    rebuild a shot chart or a ``PrecomputedChart`` as a different chart.
-    """
-    if chart is None:
-        return {"model": None, "field": None}
-    if not chart.is_radial:
-        return None
-    curve = chart.curve
-    if curve.kind not in ("constant", "line", "great_circle", "table"):
-        return None
-    if field is not None and field.kind not in ("zero", "linear", "rotational"):
-        return None
-    return {
-        "model": chart.model.describe(),
-        "tube_radius": chart.tube_radius,
-        "curve": curve.describe(),
-        "curve_point": None if curve.params.get("point") is None
-        else np.asarray(curve.params["point"]).tolist(),
-        "field": None if field is None else field.describe(),
-    }
-
-
-def rebuild_setup(payload):
-    """Rebuild (chart, field) from a descriptor payload (worker side)."""
-    if payload["model"] is None:
-        return None, None
-    m = payload["model"]
-    kind = m["kind"]
-    if kind == "euclidean":
-        model = geometry.euclidean(m["dim"])
-    elif kind == "sphere":
-        model = geometry.sphere(m["dim"], m["radius"])
-    elif kind == "hyperbolic":
-        model = geometry.hyperbolic(m["dim"], m["curvature_scale"])
-    else:
-        model = geometry.warped_diagonal(m["dim"], m["profile"])
-    c = payload["curve"]
-    if c["kind"] == "constant":
-        curve = geometry.constant_curve(c["T"], point=payload.get("curve_point"),
-                                        n_grid=c["n_grid"])
-    elif c["kind"] == "line":
-        curve = geometry.line_curve(np.asarray(c["v"]), c["T"], n_grid=c["n_grid"],
-                                    origin=np.asarray(c["origin"]))
-    elif c["kind"] == "great_circle":
-        curve = geometry.great_circle_curve(model, c["speed"], c["T"], n_grid=c["n_grid"])
-    elif c["kind"] == "table":
-        curve = geometry.table_curve(np.asarray(c["times"]), np.asarray(c["points"]),
-                                     T=c["T"], n_grid=c["n_grid"])
-    else:
-        raise ConstructionError(f"cannot rebuild curve kind {c['kind']!r}")
-    chart = geometry.fermi_chart(model, curve, payload["tube_radius"])
-    f = payload["field"]
-    if f is None:
-        field = None
-    elif f["kind"] == "zero":
-        field = om.zero_field(f["d"])
-    elif f["kind"] == "linear":
-        field = om.linear_field(np.asarray(f["A"]))
-    elif f["kind"] == "rotational":
-        field = om.rotational_field(f["omega"])
-    else:
-        raise ConstructionError(f"cannot rebuild field kind {f['kind']!r}")
-    return chart, field
-
-
-def _tube_job(args):
-    payload, kind, d, cfg_kw, n_paths, chunk_range, want_exit = args
-    chart, field = rebuild_setup(payload)
-    cfg = sde.IntegratorConfig(**cfg_kw)
-    res = sde.run_tube_ensemble(kind, d, cfg, n_paths, chart=chart,
-                                drift_field=field, chunk_range=chunk_range,
-                                want_exit_times=want_exit)
-    return res.n_paths, res.n_survive, res.exit_times, res.T
-
-
-def _coupled_job(args):
-    payload, cfg_kw, n_paths, chunk_range, with_forms = args
-    chart, field = rebuild_setup(payload)
-    forms = om.girsanov_forms(chart, field or om.zero_field(chart.d)) if with_forms else None
-    cfg = sde.IntegratorConfig(**cfg_kw)
-    return coupling.simulate_coupled_ensemble(chart, cfg, n_paths, forms=forms,
-                                              chunk_range=chunk_range)
-
-
 def _chunk_slices(n_paths, threads):
     n_chunks = (n_paths + _rng.CHUNK - 1) // _rng.CHUNK
     per = (n_chunks + threads - 1) // threads
     return [(j, min(j + per, n_chunks)) for j in range(0, n_chunks, per)]
 
 
-def _run_pool(job_fn, payload_args, threads):
-    if threads == 1 or len(payload_args) == 1:
-        return [job_fn(a) for a in payload_args]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(job_fn, payload_args))
+_job = None
+
+
+def _install_job(job):
+    global _job
+    _job = job
+
+
+def _call_job(chunk_range):
+    return _job(chunk_range)
+
+
+def _run_pool(job, n_paths, threads):
+    """Run ``job(chunk_range)`` on each chunk slice; results in slice order.
+
+    ``threads`` (None: ``OMTUBE_THREADS``) sets the number of slices.
+    Several slices run in forked workers, which inherit ``job`` with the
+    caller's chart, field and forms as they are: nothing is pickled on the
+    way in, so every chart and field pools.
+    """
+    slices = _chunk_slices(n_paths, _resolve_threads(threads))
+    if len(slices) > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with ProcessPoolExecutor(len(slices), multiprocessing.get_context("fork"),
+                                 initializer=_install_job, initargs=(job,)) as pool:
+            return list(pool.map(_call_job, slices))
+    if len(slices) > 1:
+        warnings.warn("no fork start method on this platform; running one worker")
+    return [job(s) for s in slices]
 
 
 # ---------------------------------------------------------------------------
@@ -275,34 +214,20 @@ def estimate_tube_prob(process, *, chart=None, field=None, d=None, delta, dt,
         d = chart.d
     elif d is None:
         raise ConstructionError("plain BM needs the dimension d")
-    threads = _resolve_threads(threads)
-    cfg_kw = dict(dt=dt, T=T, delta=delta, bridge_correction=bridge_correction,
-                  seed=seed, scheme=scheme)
-    payload = _chart_payload(chart, field) if process == "x" else _chart_payload(chart, None)
-    if process == "bm":
-        payload = {"model": None, "field": None}
-    if threads > 1 and payload is None:
-        warnings.warn("chart/field not descriptor-rebuildable; running single-threaded")
-        threads = 1
+    cfg = sde.IntegratorConfig(dt=dt, T=T, delta=delta, seed=seed, scheme=scheme,
+                               bridge_correction=bridge_correction)
+    drift_field = field if process == "x" else None
 
-    if threads == 1:
-        cfg = sde.IntegratorConfig(**cfg_kw)
-        res = sde.run_tube_ensemble(process, d, cfg, n_paths, chart=chart,
-                                    drift_field=field if process == "x" else None,
-                                    want_exit_times=keep_exit_times)
-        n_tot, n_surv = res.n_paths, res.n_survive
-        exit_times = res.exit_times
-        T_res = res.T
-    else:
-        slices = _chunk_slices(n_paths, threads)
-        args = [(payload, process, d, cfg_kw, n_paths, s, keep_exit_times)
-                for s in slices]
-        parts = _run_pool(_tube_job, args, threads)
-        n_tot = sum(p[0] for p in parts)
-        n_surv = sum(p[1] for p in parts)
-        exit_times = (np.concatenate([p[2] for p in parts])
-                      if keep_exit_times else None)
-        T_res = parts[0][3]
+    def job(chunk_range):
+        return sde.run_tube_ensemble(process, d, cfg, n_paths, chart=chart,
+                                     drift_field=drift_field, chunk_range=chunk_range,
+                                     want_exit_times=keep_exit_times)
+
+    parts = _run_pool(job, n_paths, threads)
+    n_tot = sum(p.n_paths for p in parts)
+    n_surv = sum(p.n_survive for p in parts)
+    exit_times = (np.concatenate([p.exit_times for p in parts])
+                  if keep_exit_times else None)
 
     p_hat = n_surv / n_tot
     se = math.sqrt(p_hat * (1 - p_hat) / n_tot)
@@ -310,7 +235,7 @@ def estimate_tube_prob(process, *, chart=None, field=None, d=None, delta, dt,
     if n_surv < 100:
         warning = f"only {n_surv} surviving paths; conditional statistics unreliable"
     return TubeEstimate(p_hat=p_hat, se=se, n_paths=n_tot, n_survive=n_surv,
-                        delta=delta, dt=dt, T=T_res, process=process,
+                        delta=delta, dt=dt, T=parts[0].T, process=process,
                         warning=warning, exit_times=exit_times)
 
 
@@ -402,35 +327,17 @@ def extrapolate_ratio(results):
 def run_coupled(chart, field, *, delta, dt, T=None, n_paths, seed=0,
                 with_forms=True, threads=None):
     """Coupled ensemble with optional measure-change bookkeeping (pooled)."""
-    threads = _resolve_threads(threads)
-    cfg_kw = dict(dt=dt, T=T, delta=delta, bridge_correction=False, seed=seed)
-    payload = _chart_payload(chart, field)
-    if threads > 1 and payload is None:
-        warnings.warn("chart/field not descriptor-rebuildable; running single-threaded")
-        threads = 1
-    if threads == 1:
-        forms = om.girsanov_forms(chart, field or om.zero_field(chart.d)) \
-            if with_forms else None
-        cfg = sde.IntegratorConfig(**cfg_kw)
-        return coupling.simulate_coupled_ensemble(chart, cfg, n_paths, forms=forms)
-    slices = _chunk_slices(n_paths, threads)
-    args = [(payload, cfg_kw, n_paths, s, with_forms) for s in slices]
-    parts = _run_pool(_coupled_job, args, threads)
-    return _merge_coupled(parts)
+    forms = om.girsanov_forms(chart, field or om.zero_field(chart.d)) \
+        if with_forms else None
+    cfg = sde.IntegratorConfig(dt=dt, T=T, delta=delta, bridge_correction=False,
+                               seed=seed)
 
+    def job(chunk_range):
+        return coupling.simulate_coupled_ensemble(chart, cfg, n_paths, forms=forms,
+                                                  chunk_range=chunk_range)
 
-def _merge_coupled(parts):
-    first = parts[0]
-    arrays = {}
-    for name in ("survived", "exit_time", "max_radial_gap", "uu_final",
-                 "sup_udiff", "udiff_final", "M_ito", "M_bracket", "L",
-                 "L_tilde", "G_int", "nu", "ortho_cov", "uu_pred_gap"):
-        arrays[name] = np.concatenate([getattr(p, name) for p in parts])
-    return coupling.CoupledEnsemble(
-        n_paths=int(arrays["survived"].size), delta=first.delta, dt=first.dt,
-        T=first.T,
-        h2_le_g_violations=sum(p.h2_le_g_violations for p in parts),
-        w0_identity_dev=max(p.w0_identity_dev for p in parts), **arrays)
+    parts = _run_pool(job, n_paths, threads)
+    return coupling.CoupledEnsemble.concat(parts)
 
 
 def estimate_girsanov_weight(ensemble):

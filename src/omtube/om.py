@@ -97,13 +97,6 @@ class DriftField:
             return np.asarray(self.div_f(t, np.asarray(x, dtype=float)), dtype=float)
         return divergence_fd(lambda p: self(t, p), x, h)
 
-    def describe(self):
-        out = {"kind": self.kind, "d": self.d}
-        if self.params:
-            out.update({k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                        for k, v in self.params.items() if not callable(v)})
-        return out
-
 
 def zero_field(d):
     return DriftField(d=d, f=lambda t, x: np.zeros_like(x),

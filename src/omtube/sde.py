@@ -1,17 +1,19 @@
 """Discretized simulation of the lifted diffusion, the radial reference
-process, plain Brownian motion, and the Bessel process, with tube-exit
-detection.
+process and plain Brownian motion (whose modulus is the Bessel process),
+with tube-exit detection.
 
 Two entry styles:
 
-* ``simulate_X`` / ``simulate_Y`` / ``simulate_bm`` / ``simulate_bessel``
-  record one full trajectory as a :class:`PathSample`; the driving noise
-  comes from a Philox stream keyed by ``(seed, path_index)``.
+* ``simulate_X`` / ``simulate_Y`` / ``simulate_bm`` record one full
+  trajectory as a :class:`PathSample`; the driving noise comes from a
+  Philox stream keyed by ``(seed, path_index)``.
 * ``run_tube_ensemble`` steps many paths at once (vectorized over fixed
   32768-lane chunks, ``_rng.CHUNK``, with per-chunk Philox streams) and
   returns survival counts plus whatever terminal statistics were
   requested.  Identical ``(seed, cfg)`` give bit-identical results for
   any worker count.
+
+Both styles decide tube exits with the one rule ``tube_exit_check``.
 
 The denominator of the tube-probability ratio is always simulated with the
 same time step and the same exit monitoring as the numerator, so the
@@ -34,7 +36,6 @@ __all__ = [
     "simulate_X",
     "simulate_Y",
     "simulate_bm",
-    "simulate_bessel",
     "tube_exit_check",
     "run_tube_ensemble",
     "bm_tube_survival_theta",
@@ -119,11 +120,10 @@ def tube_exit_check(r0, r1, delta, dt, bridge_correction=True):
     """
     r0 = np.asarray(r0, dtype=float)
     r1 = np.asarray(r1, dtype=float)
-    hit = (r0 >= delta) | (r1 >= delta)
     if not bridge_correction:
-        return np.where(hit, 1.0, 0.0)
-    ex = np.exp(-2.0 * np.maximum(delta - r0, 0.0) * np.maximum(delta - r1, 0.0) / dt)
-    return np.where(hit, 1.0, ex)
+        return np.where((r0 >= delta) | (r1 >= delta), 1.0, 0.0)
+    # a grid value at or above delta zeroes its clamped factor, so p = exp(-0) = 1
+    return np.exp((-2.0 / dt) * np.maximum(delta - r0, 0.0) * np.maximum(delta - r1, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +236,9 @@ def simulate_Y(chart, cfg, curve=None):
 
 
 def simulate_bm(d, cfg):
-    """One standard d-dimensional Brownian path."""
-    return _simulate_single("bm", d, cfg)
+    """One standard d-dimensional Brownian path.
 
-
-def simulate_bessel(d, cfg):
-    """Bessel(d) path, simulated as the modulus of a d-dimensional BM.
-
-    The returned sample's ``radial`` array is the Bessel path; ``states``
-    holds the driving Brownian motion.
+    The sample's ``radial`` array is its modulus, a Bessel(d) path.
     """
     return _simulate_single("bm", d, cfg)
 
@@ -260,8 +254,9 @@ def run_tube_ensemble(kind, d, cfg, n_paths, chart=None, drift_field=None,
 
     kind: "x", "y", or "bm".  ``record_radial_at`` collects |state| of every
     path at the listed times (valid only without a tube stop).  When
-    ``chunk_range`` is given, only those chunk indices are simulated (used
-    by the process-pool fan-out); counts then refer to that slice.
+    ``chunk_range`` is given, only those chunk indices are simulated (the
+    pool in :mod:`omtube.mc` hands each forked worker one such slice);
+    counts then refer to that slice.
 
     Exited lanes are compacted away between steps and noise is drawn only
     for the lanes still alive; see :mod:`omtube._rng` for the determinism
@@ -301,7 +296,6 @@ def run_tube_ensemble(kind, d, cfg, n_paths, chart=None, drift_field=None,
         r = np.zeros(m)
         tex = np.full(m, np.nan)
         y_final = np.full((m, d), np.nan) if want_terminal else None
-        bridge_rate = -2.0 / cfg.dt
         for k in range(n_steps):
             if lanes.size == 0:
                 break
@@ -309,13 +303,8 @@ def run_tube_ensemble(kind, d, cfg, n_paths, chart=None, drift_field=None,
             y_new = step(t, y, sq * gen.standard_normal((lanes.size, d)))
             r1 = np.sqrt(np.einsum("mi,mi->m", y_new, y_new))
             if delta is not None:
-                if bridge:
-                    # unclamped bridge formula: r1 >= delta gives p >= 1,
-                    # so grid exits are covered by the same comparison
-                    p = np.exp(bridge_rate * (delta - r) * (delta - r1))
-                    out = gen.random(lanes.size) < p
-                else:
-                    out = r1 >= delta
+                p = tube_exit_check(r, r1, delta, cfg.dt, bridge)
+                out = gen.random(lanes.size) < p if bridge else p >= 1.0
                 if out.any():
                     gone = lanes[out]
                     tex[gone] = (k + 1) * cfg.dt

@@ -229,3 +229,12 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "omtube" in proc.stdout
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported inside the functions that use it, not by the package
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, omtube; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

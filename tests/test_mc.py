@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from omtube import _rng, geometry as geo, mc, om, sde
+from omtube import _rng, coupling, geometry as geo, mc, om, sde
 from omtube.errors import EstimationError, InsufficientSamplesError
 
 
@@ -218,30 +219,54 @@ def test_bootstrap_agrees_with_delta_method(euclid2_chart):
 
 
 # ---------------------------------------------------------------------------
-# payload rebuild (worker-side setup)
+# the worker pool
 # ---------------------------------------------------------------------------
 
-def test_precomputed_chart_pool_falls_back_to_one_worker(warped3_chart):
-    # a grid chart cannot be rebuilt from its descriptor in a worker, so a
-    # pooled run warns and runs in-process with the same counts
-    chart = geo.PrecomputedChart(warped3_chart, n_nodes=5)
-    kw = dict(chart=chart, field=om.zero_field(3), delta=0.1, dt=2e-4, T=1e-3,
-              n_paths=1000, seed=4)
-    one = mc.estimate_tube_prob("x", threads=1, **kw)
-    with pytest.warns(UserWarning, match="single-threaded"):
-        two = mc.estimate_tube_prob("x", threads=2, **kw)
-    assert (two.n_paths, two.n_survive) == (one.n_paths, one.n_survive)
-    assert mc._chart_payload(chart, om.zero_field(3)) is None
-    assert mc._chart_payload(warped3_chart, None) is None
+def _one_and_two_workers(fn, **kw):
+    one = fn(threads=1, **kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # pooling must not warn or fall back
+        two = fn(threads=2, **kw)
+    return one, two
 
 
-def test_rebuild_setup_round_trip():
+def _assert_same_ensemble(a, b):
+    for name in coupling.RECORDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    assert ((a.n_paths, a.delta, a.dt, a.T, a.h2_le_g_violations, a.w0_identity_dev)
+            == (b.n_paths, b.delta, b.dt, b.T, b.h2_le_g_violations, b.w0_identity_dev))
+
+
+def test_pooled_coupled_matches_one_worker():
     model = geo.sphere(2, 1.0)
-    curve = geo.constant_curve(T=0.4, n_grid=32)
-    chart = geo.fermi_chart(model, curve, 0.7)
-    field = om.rotational_field(0.5)
-    payload = mc._chart_payload(chart, field)
-    chart2, field2 = mc.rebuild_setup(payload)
-    x = np.array([0.3, -0.2])
-    assert np.allclose(chart.metric(0.0, x), chart2.metric(0.0, x), atol=1e-15)
-    assert np.allclose(field(0.0, x), field2(0.0, x), atol=1e-15)
+    chart = geo.fermi_chart(model, geo.great_circle_curve(model, 1.0, 0.02), 0.5)
+    n = _rng.CHUNK + 2048  # two chunks, one per worker
+    one, two = _one_and_two_workers(
+        mc.run_coupled, chart=chart, field=om.rotational_field(1.0), delta=0.2,
+        dt=5e-4, T=0.02, n_paths=n, seed=9)
+    assert one.n_paths == n and 0 < one.n_survive < n
+    assert np.any(one.M_ito != 0) and np.any(one.L != 0)
+    _assert_same_ensemble(one, two)
+
+
+def test_pool_runs_grid_chart_and_custom_field(warped3_chart, sphere2_chart, monkeypatch):
+    # workers inherit the caller's chart and field, so charts and fields
+    # with no descriptor pool as well; small chunks make several slices
+    monkeypatch.setattr(_rng, "CHUNK", 256)
+    grid = geo.PrecomputedChart(warped3_chart, n_nodes=5)
+    custom = om.DriftField(d=2, f=lambda t, x: 0.3 * np.sin(x[..., ::-1]))
+    for chart, field in ((grid, om.zero_field(3)), (sphere2_chart, custom)):
+        one, two = _one_and_two_workers(
+            mc.estimate_tube_prob, process="x", chart=chart, field=field, delta=0.1,
+            dt=2e-4, T=2e-3, n_paths=1000, seed=4, keep_exit_times=True)
+        assert (two.n_paths, two.n_survive) == (one.n_paths, one.n_survive)
+        assert 0 < one.n_survive < one.n_paths
+        assert np.array_equal(two.exit_times, one.exit_times, equal_nan=True)
+
+
+def test_pool_runs_shot_chart(warped3_chart, monkeypatch):
+    monkeypatch.setattr(_rng, "CHUNK", 4)
+    one, two = _one_and_two_workers(
+        mc.run_coupled, chart=warped3_chart, field=None, delta=0.1, dt=2e-4,
+        T=1e-3, n_paths=8, seed=3, with_forms=False)
+    _assert_same_ensemble(one, two)

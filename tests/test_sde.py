@@ -157,7 +157,7 @@ def test_bessel3_mean():
 
 def test_bessel_path_nonnegative():
     cfg = sde.IntegratorConfig(dt=1e-3, T=0.3, seed=3, path_index=1)
-    p = sde.simulate_bessel(3, cfg)
+    p = sde.simulate_bm(3, cfg)
     assert np.all(p.radial >= 0)
 
 
