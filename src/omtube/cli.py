@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, coupling, geometry, mc, om, sde
-from .errors import EstimationError, OmtubeError
+from .errors import ConstructionError, EstimationError, OmtubeError
 
 SCHEMA = 2
 
@@ -171,10 +171,12 @@ def _build_field(cfg, model):
 
 def _setup(cfg):
     model = _build_model(cfg)
-    curve = _build_curve(cfg, model)
-    chart = geometry.fermi_chart(model, curve, cfg["tube_radius"])
-    field = _build_field(cfg, model)
-    return chart, field
+    try:
+        curve = _build_curve(cfg, model)
+        field = _build_field(cfg, model)
+    except (ValueError, OSError) as e:  # malformed spec or unreadable table file
+        raise ConstructionError(str(e)) from e
+    return geometry.fermi_chart(model, curve, cfg["tube_radius"]), field
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,7 @@ def levy_area_update(A, y_old, y_new):
     dA^ij = ybar^i dy^j - ybar^j dy^i with ybar the step midpoint; the
     running matrix stays exactly antisymmetric.
     """
-    ybar = 0.5 * (y_old + y_new)
-    dy = y_new - y_old
-    inc = ybar[..., :, None] * dy[..., None, :] - dy[..., :, None] * ybar[..., None, :]
-    return A + inc
+    return A + _area_increment(y_old, y_new)
 
 
 # ---------------------------------------------------------------------------

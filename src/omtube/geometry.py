@@ -17,6 +17,18 @@ Built-in models:
   g_ii(y) = 1 + (i/d)(p(|y|) - p(0)) in its own global coordinates; charts
   are built numerically by geodesic shooting with a transported frame.
 
+Charts.  ``fermi_chart`` returns one of three classes, one per evaluation
+rule.  Their base ``MetricChart`` holds the domain check, the frame velocity
+and numerical evaluators derived from ``metric`` alone (inverse, determinant,
+eigen square root, finite-difference Coriolis drift, trace-formula
+Besselization drift); each subclass supplies ``metric`` and ``curvature_at``:
+
+* ``RadialChart`` -- closed forms for every evaluator (constant curvature).
+* ``ShotChart`` -- the metric by geodesic shooting in an ambient metric, the
+  curvature from its Christoffel symbols (warped models, or method="shoot").
+* ``PrecomputedChart`` -- the metric of a time-independent shot chart,
+  sampled on a cube grid and interpolated by cubic B-splines.
+
 Conventions.  ``metric`` is the matrix (g_ij) defining lengths,
 ``metric_inv`` = (g^ij) is the diffusion coefficient, and
 ``sigma = metric_inv^(1/2)`` is symmetric.  The Coriolis drift is the
@@ -58,6 +70,8 @@ __all__ = [
     "embedded_curve",
     "ambient_curve",
     "MetricChart",
+    "RadialChart",
+    "ShotChart",
     "PrecomputedChart",
     "fermi_chart",
     "CurvatureData",
@@ -664,123 +678,54 @@ def ambient_curvature(ambient, y):
 
 
 # ---------------------------------------------------------------------------
-# shot-chart backend (geodesic shooting + transported frame)
+# frame transport along moving curves
 # ---------------------------------------------------------------------------
 
-class _ShotBackend:
-    """Numerical Fermi chart over an ambient metric.
-
-    Geodesics are integrated with a classical RK4 (step <= max_step along the
-    unit-time parameterization) and the chart metric is the pull-back of the
-    ambient metric through a 4-point finite-difference Jacobian of the
-    exponential map.
-    """
-
-    def __init__(self, ambient, centers, frames, max_step=0.02, jac_h=5e-3):
-        self.ambient = ambient
-        self.centers = centers    # callable t -> (d,)
-        self.frames = frames      # callable t -> (d, d) columns = frame vectors
-        self.max_step = max_step
-        self.jac_h = jac_h
-
-    def shoot(self, t, X):
-        """exp_{gamma(t)}(X^i e_i(t)) for a batch X of shape (m, d)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        m, d = X.shape
-        E = self.frames(t)
-        y = np.broadcast_to(self.centers(t), (m, d)).copy()
-        v = X @ E.T
-        speed = float(np.max(np.linalg.norm(X, axis=1), initial=0.0))
-        n = max(12, int(math.ceil(speed / self.max_step)))
-        h = 1.0 / n
-
-        def acc(y, v):
-            gam = self.ambient.christoffel(y)
-            return -np.einsum("mkij,mi,mj->mk", gam, v, v)
-
-        for _ in range(n):
-            k1y, k1v = v, acc(y, v)
-            k2y, k2v = v + 0.5 * h * k1v, acc(y + 0.5 * h * k1y, v + 0.5 * h * k1v)
-            k3y, k3v = v + 0.5 * h * k2v, acc(y + 0.5 * h * k2y, v + 0.5 * h * k2v)
-            k4y, k4v = v + h * k3v, acc(y + h * k3y, v + h * k3v)
-            y = y + (h / 6) * (k1y + 2 * k2y + 2 * k3y + k4y)
-            v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        return y
-
-    def metric(self, t, X):
-        X = np.asarray(X, dtype=float)
-        flat = np.atleast_2d(X.reshape(-1, X.shape[-1]))
-        m, d = flat.shape
-        h = self.jac_h
-        # 4-point stencil Jacobian of the exponential map
-        pts = []
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1.0
-            for c in (-2.0, -1.0, 1.0, 2.0):
-                pts.append(flat + c * h * e)
-        ends = self.shoot(t, np.concatenate(pts, axis=0)).reshape(d, 4, m, d)
-        J = np.empty((m, d, d))  # J[m, a, i] = d end^a / d x^i
-        for i in range(d):
-            fm2, fm1, fp1, fp2 = ends[i]
-            J[:, :, i] = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
-        base = self.shoot(t, flat)
-        G = self.ambient.metric(base)
-        g = np.einsum("mai,mab,mbj->mij", J, G, J)
-        g = 0.5 * (g + np.swapaxes(g, -1, -2))
-        return g.reshape(X.shape[:-1] + (d, d)) if X.ndim > 1 else g[0]
-
-
-def _transport_frames_ambient(ambient, curve, n_sub=4):
-    """Parallel-transport an orthonormal frame along a moving ambient curve."""
+def _transport(curve, E, rhs, components):
+    """RK4-transport the frame E (columns) with dE/dt = rhs(t, E) over the
+    curve grid, four steps per cell.  Returns cubic splines in t of the
+    frames and of components(t, E), the frame components of gamma_dot."""
     from scipy.interpolate import CubicSpline
 
     grid = curve.grid
-    d = ambient.d
-    y0 = np.asarray(curve.gamma(grid[0]), dtype=float)
-    G0 = ambient.metric(y0)
-    L = np.linalg.cholesky(G0)
-    E = np.linalg.inv(L).T  # columns orthonormal wrt G0
+    n_sub = 4
     frames = [E.copy()]
-    vfr = []
-
-    def frame_velocity(t, E):
-        g = ambient.metric(np.asarray(curve.gamma(t), dtype=float))
-        gd = np.asarray(curve.gamma_dot(t), dtype=float)
-        return E.T @ g @ gd
-
-    vfr.append(frame_velocity(grid[0], E))
+    vfr = [components(grid[0], E)]
     for k in range(len(grid) - 1):
         t0, t1 = grid[k], grid[k + 1]
         h = (t1 - t0) / n_sub
         for j in range(n_sub):
             t = t0 + j * h
-
-            def dot(t, E):
-                y = np.asarray(curve.gamma(t), dtype=float)
-                gd = np.asarray(curve.gamma_dot(t), dtype=float)
-                gam = ambient.christoffel(y)
-                return -np.einsum("kij,i,jc->kc", gam, gd, E)
-
-            k1 = dot(t, E)
-            k2 = dot(t + h / 2, E + h / 2 * k1)
-            k3 = dot(t + h / 2, E + h / 2 * k2)
-            k4 = dot(t + h, E + h * k3)
+            k1 = rhs(t, E)
+            k2 = rhs(t + h / 2, E + h / 2 * k1)
+            k3 = rhs(t + h / 2, E + h / 2 * k2)
+            k4 = rhs(t + h, E + h * k3)
             E = E + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         frames.append(E.copy())
-        vfr.append(frame_velocity(t1, E))
-    frames = np.array(frames)
-    vfr = np.array(vfr)
-    f_spl = CubicSpline(grid, frames, axis=0)
-    v_spl = CubicSpline(grid, vfr, axis=0)
-    return (lambda t: f_spl(t)), (lambda t: v_spl(t))
+        vfr.append(components(t1, E))
+    return (CubicSpline(grid, np.array(frames), axis=0),
+            CubicSpline(grid, np.array(vfr), axis=0))
 
 
-def _transport_frames_embedded(model, curve, n_sub=4):
+def _transport_frames_ambient(ambient, curve):
+    """Parallel-transport an orthonormal frame along a moving ambient curve."""
+    y0 = np.asarray(curve.gamma(curve.grid[0]), dtype=float)
+    E = np.linalg.inv(np.linalg.cholesky(ambient.metric(y0))).T  # orthonormal wrt G0
+
+    def components(t, E):
+        g = ambient.metric(np.asarray(curve.gamma(t), dtype=float))
+        return E.T @ g @ np.asarray(curve.gamma_dot(t), dtype=float)
+
+    def rhs(t, E):
+        y = np.asarray(curve.gamma(t), dtype=float)
+        gd = np.asarray(curve.gamma_dot(t), dtype=float)
+        return -np.einsum("kij,i,jc->kc", ambient.christoffel(y), gd, E)
+
+    return _transport(curve, E, rhs, components)
+
+
+def _transport_frames_embedded(model, curve):
     """Frame transport for moving curves on the sphere / hyperboloid embedding."""
-    from scipy.interpolate import CubicSpline
-
-    grid = curve.grid
     d = model.dim
     if model.kind == "sphere":
         r2 = model.radius ** 2
@@ -788,7 +733,7 @@ def _transport_frames_embedded(model, curve, n_sub=4):
         def mink(a, b):
             return float(a @ b)
 
-        def cov_rhs(t, E):
+        def rhs(t, E):
             gd = np.asarray(curve.gamma_dot(t), dtype=float)
             p = np.asarray(curve.gamma(t), dtype=float)
             return -np.outer(p, gd @ E) / r2
@@ -800,13 +745,13 @@ def _transport_frames_embedded(model, curve, n_sub=4):
         def mink(a, b):
             return float(np.sum(eta * a * b))
 
-        def cov_rhs(t, E):
+        def rhs(t, E):
             gd = np.asarray(curve.gamma_dot(t), dtype=float)
             p = np.asarray(curve.gamma(t), dtype=float)
             return np.outer(p, (eta * gd) @ E) / s2
 
-    p0 = np.asarray(curve.gamma(grid[0]), dtype=float)
-    gd0 = np.asarray(curve.gamma_dot(grid[0]), dtype=float)
+    p0 = np.asarray(curve.gamma(curve.grid[0]), dtype=float)
+    gd0 = np.asarray(curve.gamma_dot(curve.grid[0]), dtype=float)
     # orthonormal tangent frame at the start: Gram-Schmidt on tangent candidates
     cand = []
     if np.linalg.norm(gd0) > 1e-12:
@@ -828,59 +773,38 @@ def _transport_frames_embedded(model, curve, n_sub=4):
             break
     if len(E) < d:
         raise ConstructionError("failed to build a frame along the curve")
-    E = np.array(E).T  # columns
 
-    def frame_components(t, E):
+    def components(t, E):
         gd = np.asarray(curve.gamma_dot(t), dtype=float)
         return np.array([mink(gd, E[:, i]) for i in range(d)])
 
-    frames = [E.copy()]
-    vfr = [frame_components(grid[0], E)]
-    for k in range(len(grid) - 1):
-        t0, t1 = grid[k], grid[k + 1]
-        h = (t1 - t0) / n_sub
-        for j in range(n_sub):
-            t = t0 + j * h
-            k1 = cov_rhs(t, E)
-            k2 = cov_rhs(t + h / 2, E + h / 2 * k1)
-            k3 = cov_rhs(t + h / 2, E + h / 2 * k2)
-            k4 = cov_rhs(t + h, E + h * k3)
-            E = E + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        frames.append(E.copy())
-        vfr.append(frame_components(t1, E))
-    f_spl = CubicSpline(grid, np.array(frames), axis=0)
-    v_spl = CubicSpline(grid, np.array(vfr), axis=0)
-    return (lambda t: f_spl(t)), (lambda t: v_spl(t))
+    return _transport(curve, np.array(E).T, rhs, components)
 
 
 # ---------------------------------------------------------------------------
-# the chart
+# the charts
 # ---------------------------------------------------------------------------
 
 class MetricChart:
     """Fermi-coordinate chart: metric, its inverse and square root, drifts.
 
     Immutable after construction; all evaluators are pure and safe to call
-    from multiple workers.  Points are arrays of shape (..., d).
+    from multiple workers.  Points are arrays of shape (..., d).  Subclasses
+    supply ``metric`` and ``curvature_at``; the other evaluators here derive
+    everything from ``metric`` numerically (matrix inverse, determinant,
+    eigendecomposition, finite differences).
     """
 
-    def __init__(self, model, curve, tube_radius, backend, scalars=None,
-                 vframe=None, ambient=None, base_points=None):
+    is_radial = False
+
+    def __init__(self, model, curve, tube_radius, vframe):
         self.model = model
         self.curve = curve
         self.tube_radius = float(tube_radius)
         self.d = model.dim
-        self._backend = backend          # "radial" | "shot"
-        self._scalars = scalars          # _RadialScalars for radial charts
-        self._shot = ambient             # _ShotBackend for shot charts
         self._vframe = vframe
-        self._base_points = base_points  # callable t -> ambient point (shot)
 
     # -- basic structure ----------------------------------------------------
-
-    @property
-    def is_radial(self):
-        return self._backend == "radial"
 
     def check_domain(self, x):
         x = np.asarray(x, dtype=float)
@@ -897,88 +821,46 @@ class MetricChart:
             return np.zeros(self.d)
         return np.asarray(v, dtype=float)
 
-    # -- metric family -------------------------------------------------------
-
-    def _radial_parts(self, x):
-        x = np.asarray(x, dtype=float)
-        rho = np.linalg.norm(x, axis=-1)
-        safe = np.where(rho > 0, rho, 1.0)
-        u = x / safe[..., None]
-        u = np.where((rho > 0)[..., None], u, 0.0)
-        return rho, u
+    # -- supplied by subclasses -----------------------------------------------
 
     def metric(self, t, x):
         """Metric components g_ij(t, x)."""
-        x = np.asarray(x, dtype=float)
-        if self._backend == "shot":
-            return self._shot.metric(t, x)
-        rho, u = self._radial_parts(x)
-        tl2 = self._scalars.tl(rho) ** 2
-        eye = np.eye(self.d)
-        uu = u[..., :, None] * u[..., None, :]
-        return uu + tl2[..., None, None] * (eye - uu)
+        raise NotImplementedError
+
+    def curvature_at(self, t):
+        """Curvature tensors at the chart origin."""
+        raise NotImplementedError
+
+    # -- metric family -------------------------------------------------------
 
     def metric_inv(self, t, x):
         """Inverse metric (the diffusion coefficient) g^ij(t, x)."""
-        x = np.asarray(x, dtype=float)
-        if self._backend == "shot":
-            g = self._shot.metric(t, x)
-            return np.linalg.inv(g)
-        rho, u = self._radial_parts(x)
-        m = self._scalars.tl(rho) ** (-2.0)
-        eye = np.eye(self.d)
-        uu = u[..., :, None] * u[..., None, :]
-        return uu + m[..., None, None] * (eye - uu)
+        return np.linalg.inv(self.metric(t, x))
 
     def sqrt_det(self, t, x):
         """sqrt(det g(t, x))."""
-        x = np.asarray(x, dtype=float)
-        if self._backend == "shot":
-            det = np.linalg.det(self._shot.metric(t, x))
-            if np.any(det <= 0):
-                raise NumericError("non-positive metric determinant")
-            return np.sqrt(det)
-        rho, _ = self._radial_parts(x)
-        return self._scalars.tl(rho) ** (self.d - 1)
+        det = np.linalg.det(self.metric(t, x))
+        if np.any(det <= 0):
+            raise NumericError("non-positive metric determinant")
+        return np.sqrt(det)
 
     def sigma(self, t, x):
         """Symmetric positive square root of the inverse metric."""
-        x = np.asarray(x, dtype=float)
-        if self._backend == "shot":
-            return _spd_sqrt(self.metric_inv(t, x), t, x)
-        rho, u = self._radial_parts(x)
-        ti = 1.0 / self._scalars.tl(rho)
-        eye = np.eye(self.d)
-        uu = u[..., :, None] * u[..., None, :]
-        return uu + ti[..., None, None] * (eye - uu)
+        return _spd_sqrt(self.metric_inv(t, x), t, x)
 
     def sigma_apply(self, t, x, v):
-        """sigma(t,x) @ v without forming matrices (radial fast path)."""
-        if self._backend == "shot":
-            return np.einsum("...ij,...j->...i", self.sigma(t, x), v)
-        rho, u = self._radial_parts(x)
-        ti = 1.0 / self._scalars.tl(rho)
-        uv = np.einsum("...i,...i->...", u, v)
-        return ti[..., None] * v + ((1.0 - ti) * uv)[..., None] * u
+        """sigma(t,x) @ v."""
+        return np.einsum("...ij,...j->...i", self.sigma(t, x), v)
 
     def sigma_diag(self, t, x):
         """Diagonal entries of sigma (used by the diagonal Milstein scheme)."""
-        if self._backend == "shot":
-            s = self.sigma(t, x)
-            return np.diagonal(s, axis1=-2, axis2=-1)
-        rho, u = self._radial_parts(x)
-        ti = 1.0 / self._scalars.tl(rho)
-        return ti[..., None] + (1.0 - ti)[..., None] * u * u
+        return np.diagonal(self.sigma(t, x), axis1=-2, axis2=-1)
 
     # -- drifts ---------------------------------------------------------------
 
     def coriolis(self, t, x):
         """Coriolis drift a(t,x); vanishes on the curve."""
-        x = np.asarray(x, dtype=float)
-        if self._backend == "shot":
-            return self._coriolis_fd(t, x)
-        amp = self._scalars.coriolis_over_rho(np.linalg.norm(x, axis=-1))
-        return amp[..., None] * x
+        return self._coriolis_fd(t, np.asarray(x, dtype=float))
 
     def _coriolis_fd(self, t, x, h=None):
         h = h or 1e-3 * self.tube_radius
@@ -1001,29 +883,11 @@ class MetricChart:
     def bessel_drift(self, t, x):
         """Besselization drift c(t,x), parallel to x by construction."""
         x = np.asarray(x, dtype=float)
-        if self._backend == "shot":
-            rho = np.linalg.norm(x, axis=-1)
-            safe = np.where(rho > 1e-12, rho, 1.0)
-            gup = self.metric_inv(t, x)
-            tr = np.trace(gup, axis1=-2, axis2=-1)
-            amp = np.where(rho > 1e-12, (self.d - tr) / (2 * safe ** 2), 0.0)
-            return amp[..., None] * x
-        amp = self._scalars.bessel_over_rho(np.linalg.norm(x, axis=-1))
+        rho = np.linalg.norm(x, axis=-1)
+        safe = np.where(rho > 1e-12, rho, 1.0)
+        tr = np.trace(self.metric_inv(t, x), axis1=-2, axis2=-1)
+        amp = np.where(rho > 1e-12, (self.d - tr) / (2 * safe ** 2), 0.0)
         return amp[..., None] * x
-
-    # -- curvature ------------------------------------------------------------
-
-    def curvature_at(self, t):
-        """Curvature tensors at the chart origin (closed form where available)."""
-        if self._backend == "radial":
-            return _constant_curvature_data(self.model.curv, self.d, t)
-        y = self._base_points(t)
-        low = ambient_curvature(self._shot.ambient, np.asarray(y, dtype=float))
-        E = self._shot.frames(t)
-        low = np.einsum("abcd,ai,bj,ck,dl->ijkl", low, E, E, E, E)
-        ricci = np.einsum("ijil->jl", low)
-        return CurvatureData(riemann=low, ricci=ricci, scalar=float(np.trace(ricci)),
-                             at=(t, np.zeros(self.d)))
 
     # -- debugging dump -------------------------------------------------------
 
@@ -1057,25 +921,188 @@ def _spd_sqrt(mats, t, x):
     return np.einsum("...ik,...k,...jk->...ij", vecs, root, vecs)
 
 
-class _CubicGridField:
-    """Cubic B-spline interpolation of one scalar field on a cube grid."""
+class RadialChart(MetricChart):
+    """Closed-form chart of a constant-curvature model.
 
-    def __init__(self, bound, values):
+    The chart metric is the same at every time, because the model spaces are
+    homogeneous: g = u u^T + tl(rho)^2 (I - u u^T), and a and c are radial.
+    """
+
+    is_radial = True
+
+    def __init__(self, model, curve, tube_radius, vframe):
+        super().__init__(model, curve, tube_radius, vframe)
+        self._scalars = _RadialScalars(model.curv, model.dim)
+
+    def _radial_parts(self, x):
+        x = np.asarray(x, dtype=float)
+        rho = np.linalg.norm(x, axis=-1)
+        safe = np.where(rho > 0, rho, 1.0)
+        u = x / safe[..., None]
+        u = np.where((rho > 0)[..., None], u, 0.0)
+        return rho, u
+
+    def _radial_matrix(self, x, power):
+        """u u^T + tl^power (I - u u^T): g for power 2, g^-1 for -2.0, sigma for -1."""
+        rho, u = self._radial_parts(x)
+        tl = self._scalars.tl(rho)
+        # a numpy float64 scalar ** -1 may round differently from 1 / tl
+        m = 1.0 / tl if power == -1 else tl ** power
+        uu = u[..., :, None] * u[..., None, :]
+        return uu + m[..., None, None] * (np.eye(self.d) - uu)
+
+    def metric(self, t, x):
+        return self._radial_matrix(x, 2)
+
+    def metric_inv(self, t, x):
+        return self._radial_matrix(x, -2.0)
+
+    def sigma(self, t, x):
+        return self._radial_matrix(x, -1)
+
+    def sqrt_det(self, t, x):
+        rho, _ = self._radial_parts(x)
+        return self._scalars.tl(rho) ** (self.d - 1)
+
+    def sigma_apply(self, t, x, v):
+        """sigma(t,x) @ v without forming matrices."""
+        rho, u = self._radial_parts(x)
+        ti = 1.0 / self._scalars.tl(rho)
+        uv = np.einsum("...i,...i->...", u, v)
+        return ti[..., None] * v + ((1.0 - ti) * uv)[..., None] * u
+
+    def sigma_diag(self, t, x):
+        rho, u = self._radial_parts(x)
+        ti = 1.0 / self._scalars.tl(rho)
+        return ti[..., None] + (1.0 - ti)[..., None] * u * u
+
+    def coriolis(self, t, x):
+        x = np.asarray(x, dtype=float)
+        amp = self._scalars.coriolis_over_rho(np.linalg.norm(x, axis=-1))
+        return amp[..., None] * x
+
+    def bessel_drift(self, t, x):
+        x = np.asarray(x, dtype=float)
+        amp = self._scalars.bessel_over_rho(np.linalg.norm(x, axis=-1))
+        return amp[..., None] * x
+
+    def curvature_at(self, t):
+        return _constant_curvature_data(self.model.curv, self.d, t)
+
+
+# RK4 step bound along the unit-time geodesic parameterization, and the step
+# of the 4-point finite-difference Jacobian of the exponential map.
+_SHOT_MAX_STEP = 0.02
+_SHOT_JAC_H = 5e-3
+
+
+class ShotChart(MetricChart):
+    """Numerical Fermi chart over an ambient metric.
+
+    Geodesics are integrated with a classical RK4, and the chart metric is
+    the pull-back of the ambient metric through a 4-point finite-difference
+    Jacobian of the exponential map.  ``centers`` maps t to the ambient point
+    gamma(t) and ``frames`` to the (d, d) matrix whose columns are the
+    transported frame vectors there.
+    """
+
+    def __init__(self, model, curve, tube_radius, vframe, ambient, centers, frames):
+        super().__init__(model, curve, tube_radius, vframe)
+        self.ambient = ambient
+        self.centers = centers
+        self.frames = frames
+
+    def _shoot(self, t, X):
+        """exp_{gamma(t)}(X^i e_i(t)) for a batch X of shape (m, d)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        m, d = X.shape
+        E = self.frames(t)
+        y = np.broadcast_to(self.centers(t), (m, d)).copy()
+        v = X @ E.T
+        speed = float(np.max(np.linalg.norm(X, axis=1), initial=0.0))
+        n = max(12, int(math.ceil(speed / _SHOT_MAX_STEP)))
+        h = 1.0 / n
+
+        def acc(y, v):
+            gam = self.ambient.christoffel(y)
+            return -np.einsum("mkij,mi,mj->mk", gam, v, v)
+
+        for _ in range(n):
+            k1y, k1v = v, acc(y, v)
+            k2y, k2v = v + 0.5 * h * k1v, acc(y + 0.5 * h * k1y, v + 0.5 * h * k1v)
+            k3y, k3v = v + 0.5 * h * k2v, acc(y + 0.5 * h * k2y, v + 0.5 * h * k2v)
+            k4y, k4v = v + h * k3v, acc(y + h * k3y, v + h * k3v)
+            y = y + (h / 6) * (k1y + 2 * k2y + 2 * k3y + k4y)
+            v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        return y
+
+    def metric(self, t, x):
+        X = np.asarray(x, dtype=float)
+        flat = np.atleast_2d(X.reshape(-1, X.shape[-1]))
+        m, d = flat.shape
+        h = _SHOT_JAC_H
+        pts = []
+        for i in range(d):
+            e = np.zeros(d)
+            e[i] = 1.0
+            for c in (-2.0, -1.0, 1.0, 2.0):
+                pts.append(flat + c * h * e)
+        ends = self._shoot(t, np.concatenate(pts, axis=0)).reshape(d, 4, m, d)
+        J = np.empty((m, d, d))  # J[m, a, i] = d end^a / d x^i
+        for i in range(d):
+            fm2, fm1, fp1, fp2 = ends[i]
+            J[:, :, i] = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
+        base = self._shoot(t, flat)
+        G = self.ambient.metric(base)
+        g = np.einsum("mai,mab,mbj->mij", J, G, J)
+        g = 0.5 * (g + np.swapaxes(g, -1, -2))
+        return g.reshape(X.shape[:-1] + (d, d)) if X.ndim > 1 else g[0]
+
+    def curvature_at(self, t):
+        low = ambient_curvature(self.ambient, np.asarray(self.centers(t), dtype=float))
+        E = self.frames(t)
+        low = np.einsum("abcd,ai,bj,ck,dl->ijkl", low, E, E, E, E)
+        ricci = np.einsum("ijil->jl", low)
+        return CurvatureData(riemann=low, ricci=ricci, scalar=float(np.trace(ricci)),
+                             at=(t, np.zeros(self.d)))
+
+
+class _GridTable:
+    """Cubic B-spline interpolant of a (d, d) field on the cube [-bound, bound]^d.
+
+    ``fn`` maps points of shape (m, d) to values of shape (m, d, d) and is
+    sampled once on ``n`` nodes per axis.  ``sign`` is +1 for a symmetric
+    field and -1 for an antisymmetric one, whose zero diagonal is not stored.
+    """
+
+    def __init__(self, fn, bound, n, d, sign):
+        axes = (np.linspace(-bound, bound, n),) * d
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        values = fn(mesh.reshape(-1, d)).reshape(mesh.shape[:-1] + (d, d))
+        # imported after sampling: imported before it, scipy raised the peak
+        # memory of a 15-node warped 3-d chart build by about 30 %
         from scipy import ndimage
 
         self.bound = float(bound)
-        self.n = values.shape[0]
-        self.coeffs = ndimage.spline_filter(values, order=3, mode="mirror")
+        self.scale = (n - 1) / (2 * self.bound)
+        self.d = d
+        self.sign = sign
+        first = 0 if sign > 0 else 1
+        self.coeffs = {(i, j): ndimage.spline_filter(values[..., i, j], order=3, mode="mirror")
+                       for i in range(d) for j in range(i + first, d)}
 
     def __call__(self, x):
         from scipy import ndimage
 
         x = np.asarray(x, dtype=float)
-        coords = (x + self.bound) * ((self.n - 1) / (2 * self.bound))
-        flat = coords.reshape(-1, coords.shape[-1]).T
-        out = ndimage.map_coordinates(self.coeffs, flat, order=3,
-                                      prefilter=False, mode="mirror")
-        return out.reshape(x.shape[:-1])
+        flat = ((x + self.bound) * self.scale).reshape(-1, x.shape[-1]).T
+        out = np.zeros(x.shape[:-1] + (self.d, self.d))
+        for (i, j), coeffs in self.coeffs.items():
+            v = ndimage.map_coordinates(coeffs, flat, order=3, prefilter=False,
+                                        mode="mirror").reshape(x.shape[:-1])
+            out[..., i, j] = v
+            out[..., j, i] = self.sign * v
+        return out
 
 
 class PrecomputedChart(MetricChart):
@@ -1084,7 +1111,8 @@ class PrecomputedChart(MetricChart):
     Samples the metric once on a cube grid and evaluates it afterwards by
     cubic B-spline interpolation, making Monte Carlo over warped models
     tractable.  Interpolation error is a few parts in 1e6 at the default
-    resolution; drifts are finite differences of the interpolant.
+    resolution; sigma, det g and the drifts are the base class's numerical
+    evaluators applied to the interpolant.
     """
 
     def __init__(self, chart, n_nodes=25):
@@ -1092,61 +1120,13 @@ class PrecomputedChart(MetricChart):
             raise ConstructionError("closed-form charts need no tabulation")
         if chart.curve.kind != "constant":
             raise ConstructionError("only time-independent charts can be tabulated")
-        self.model = chart.model
-        self.curve = chart.curve
-        self.tube_radius = chart.tube_radius
-        self.d = chart.d
-        self._backend = "grid"
-        self._scalars = None
-        self._vframe = chart._vframe
-        self._shot = chart._shot
-        self._base_points = chart._base_points
+        super().__init__(chart.model, chart.curve, chart.tube_radius, chart._vframe)
         self._base = chart
-        b = chart.tube_radius
-        axes = (np.linspace(-b, b, n_nodes),) * self.d
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        g = chart.metric(0.0, mesh.reshape(-1, self.d))
-        g = g.reshape(mesh.shape[:-1] + (self.d, self.d))
-        self._fields = {(i, jj): _CubicGridField(b, g[..., i, jj])
-                        for i in range(self.d) for jj in range(i, self.d)}
+        self._g = _GridTable(lambda x: chart.metric(0.0, x), chart.tube_radius,
+                             n_nodes, self.d, 1.0)
 
     def metric(self, t, x):
-        x = np.asarray(x, dtype=float)
-        g = np.empty(x.shape[:-1] + (self.d, self.d))
-        for (i, jj), f in self._fields.items():
-            v = f(x)
-            g[..., i, jj] = v
-            g[..., jj, i] = v
-        return g
-
-    def metric_inv(self, t, x):
-        return np.linalg.inv(self.metric(t, x))
-
-    def sqrt_det(self, t, x):
-        det = np.linalg.det(self.metric(t, x))
-        if np.any(det <= 0):
-            raise NumericError("non-positive interpolated metric determinant")
-        return np.sqrt(det)
-
-    def sigma(self, t, x):
-        return _spd_sqrt(self.metric_inv(t, x), t, x)
-
-    def sigma_apply(self, t, x, v):
-        return np.einsum("...ij,...j->...i", self.sigma(t, x), v)
-
-    def sigma_diag(self, t, x):
-        return np.diagonal(self.sigma(t, x), axis1=-2, axis2=-1)
-
-    def coriolis(self, t, x):
-        return self._coriolis_fd(t, np.asarray(x, dtype=float))
-
-    def bessel_drift(self, t, x):
-        x = np.asarray(x, dtype=float)
-        rho = np.linalg.norm(x, axis=-1)
-        safe = np.where(rho > 1e-12, rho, 1.0)
-        tr = np.trace(self.metric_inv(t, x), axis1=-2, axis2=-1)
-        amp = np.where(rho > 1e-12, (self.d - tr) / (2 * safe ** 2), 0.0)
-        return amp[..., None] * x
+        return self._g(x)
 
     def curvature_at(self, t):
         return self._base.curvature_at(t)
@@ -1159,11 +1139,12 @@ class PrecomputedChart(MetricChart):
 def fermi_chart(model, curve=None, tube_radius=0.5, method=None):
     """Build the Fermi chart of ``model`` along ``curve``.
 
-    Constant-curvature models use the closed-form radial metric (which is
-    the same at every time because the spaces are homogeneous); only the
-    frame components of the velocity depend on the curve.  Warped models --
-    or any model when method="shoot" -- use geodesic shooting with an RK4
-    integrator and a parallel-transported frame cached on the curve grid.
+    Constant-curvature models get a ``RadialChart``, the closed-form radial
+    metric (which is the same at every time because the spaces are
+    homogeneous); only the frame components of the velocity depend on the
+    curve.  Warped models -- or any model when method="shoot" -- get a
+    ``ShotChart``: geodesic shooting with an RK4 integrator and a
+    parallel-transported frame cached on the curve grid.
     """
     if curve is None:
         curve = constant_curve(T=1.0)
@@ -1176,14 +1157,13 @@ def fermi_chart(model, curve=None, tube_radius=0.5, method=None):
                 f"tube radius {tube_radius} exceeds sphere chart bound {inj:.6g}")
 
     method = method or ("shoot" if model.kind == "warped" else "radial")
+    if method not in ("radial", "shoot"):
+        raise ConstructionError(f"unknown chart method {method!r}; have 'radial', 'shoot'")
 
     if method == "radial":
         if model.kind == "warped":
             raise ConstructionError("warped models have no closed-form chart")
-        scal = _RadialScalars(model.curv, model.dim)
-        vframe = _resolve_vframe(model, curve)
-        return MetricChart(model, curve, tube_radius, "radial", scalars=scal,
-                           vframe=vframe)
+        return RadialChart(model, curve, tube_radius, _resolve_vframe(model, curve))
 
     # shot chart over an ambient metric
     if model.kind == "warped":
@@ -1193,26 +1173,15 @@ def fermi_chart(model, curve=None, tube_radius=0.5, method=None):
     elif model.kind in ("sphere", "hyperbolic"):
         # shooting oracle: ambient = the closed-form chart metric at a fixed
         # reference point, so the shot chart must reproduce the closed form
-        scal = _RadialScalars(model.curv, model.dim)
-
-        def g_fn(y, scal=scal, d=model.dim):
-            rho = np.linalg.norm(y, axis=-1)
-            safe = np.where(rho > 0, rho, 1.0)
-            u = np.where((rho > 0)[..., None], y / safe[..., None], 0.0)
-            uu = u[..., :, None] * u[..., None, :]
-            tl2 = scal.tl(rho) ** 2
-            return uu + tl2[..., None, None] * (np.eye(d) - uu)
-
-        amb = CallableAmbient(model.dim, g_fn)
+        closed = RadialChart(model, curve, tube_radius, None)
+        amb = CallableAmbient(model.dim, lambda y: closed.metric(0.0, y))
     else:
         raise ConstructionError("euclidean charts are always closed form")
 
     if curve.kind == "constant":
         pt = curve.params.get("point")
         y0 = np.zeros(model.dim) if pt is None else np.asarray(pt, dtype=float)
-        G0 = amb.metric(y0)
-        L = np.linalg.cholesky(G0)
-        E0 = np.linalg.inv(L).T
+        E0 = np.linalg.inv(np.linalg.cholesky(amb.metric(y0))).T
         frames = lambda t: E0
         centers = lambda t: y0
         vframe = lambda t: np.zeros(model.dim)
@@ -1220,12 +1189,9 @@ def fermi_chart(model, curve=None, tube_radius=0.5, method=None):
         if curve.gamma is None or curve.gamma_dot is None:
             raise ConstructionError("moving shot charts need gamma and gamma_dot")
         _check_curve_speed(curve)
-        frames, vfr = _transport_frames_ambient(amb, curve)
+        frames, vframe = _transport_frames_ambient(amb, curve)
         centers = lambda t: np.asarray(curve.gamma(t), dtype=float)
-        vframe = vfr
-    shot = _ShotBackend(amb, centers, frames)
-    return MetricChart(model, curve, tube_radius, "shot", vframe=vframe,
-                       ambient=shot, base_points=centers)
+    return ShotChart(model, curve, tube_radius, vframe, amb, centers, frames)
 
 
 def _check_curve_speed(curve):

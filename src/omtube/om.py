@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, UnitVectorError
-from .geometry import divergence_fd
+from .geometry import _GridTable, divergence_fd
 
 __all__ = [
     "DriftField",
@@ -85,8 +85,6 @@ class DriftField:
     d: int
     f: object
     div_f: object = None
-    kind: str = "custom"
-    params: dict = None
     jacobian: np.ndarray = None
 
     def __call__(self, t, x):
@@ -101,7 +99,7 @@ class DriftField:
 def zero_field(d):
     return DriftField(d=d, f=lambda t, x: np.zeros_like(x),
                       div_f=lambda t, x: np.zeros(np.shape(x)[:-1]),
-                      kind="zero", params={}, jacobian=np.zeros((d, d)))
+                      jacobian=np.zeros((d, d)))
 
 
 def linear_field(A, d=None):
@@ -117,7 +115,7 @@ def linear_field(A, d=None):
         d=d,
         f=lambda t, x: np.einsum("ij,...j->...i", A, x),
         div_f=lambda t, x: np.full(np.shape(x)[:-1], tr),
-        kind="linear", params={"A": A}, jacobian=A,
+        jacobian=A,
     )
 
 
@@ -128,7 +126,6 @@ def rotational_field(omega=1.0):
         d=2,
         f=lambda t, x: w * np.stack([-x[..., 1], x[..., 0]], axis=-1),
         div_f=lambda t, x: np.zeros(np.shape(x)[:-1]),
-        kind="rotational", params={"omega": w},
         jacobian=np.array([[0.0, -w], [w, 0.0]]),
     )
 
@@ -144,7 +141,7 @@ def table_field(axes, values):
     d = values.shape[-1]
     interp = RegularGridInterpolator(tuple(axes), values, bounds_error=False,
                                      fill_value=None)
-    return DriftField(d=d, f=lambda t, x: interp(x), kind="table", params={})
+    return DriftField(d=d, f=lambda t, x: interp(x))
 
 
 # ---------------------------------------------------------------------------
@@ -356,30 +353,16 @@ class TabulatedForms(GirsanovForms):
     """
 
     def __init__(self, chart, field, n_nodes=17, n_gauss=8):
-        from .geometry import _CubicGridField
-
         if chart.curve.kind != "constant":
             raise ValueError("tabulated forms need a constant curve")
         super().__init__(chart=chart, field=field)
-        b = chart.tube_radius
-        d = chart.d
-        axes = (np.linspace(-b, b, n_nodes),) * d
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        K = alpha_kernel(chart, field, 0.0, mesh.reshape(-1, d), n_gauss=n_gauss)
-        K = K.reshape(mesh.shape[:-1] + (d, d))
-        self._pairs = {(i, jj): _CubicGridField(b, K[..., i, jj])
-                       for i in range(d) for jj in range(i + 1, d)}
+        self._kernel = _GridTable(
+            lambda x: alpha_kernel(chart, field, 0.0, x, n_gauss=n_gauss),
+            chart.tube_radius, n_nodes, chart.d, -1.0)
         self._curv = chart.curvature_at(0.0)
 
     def alpha_ij(self, t, x, n_gauss=None):
-        x = np.asarray(x, dtype=float)
-        d = self.chart.d
-        K = np.zeros(x.shape[:-1] + (d, d))
-        for (i, jj), f in self._pairs.items():
-            v = f(x)
-            K[..., i, jj] = v
-            K[..., jj, i] = -v
-        return K
+        return self._kernel(x)
 
     def beta(self, t, u):
         return beta(self._curv, u)

@@ -42,10 +42,18 @@ def test_resolve_rejects_bad_values(bad, field):
         cli.resolve_config(bad)
 
 
-def test_invalid_config_exit_code(capsys):
+def test_invalid_config_exit_code(capsys, tmp_path):
     code = run_cli(["smallball", "--dim", "1", "--T", "-3", "--delta", "1"])
     assert code == 2
     assert "T" in capsys.readouterr().err
+    # specifications that fail only when the curve or field is built
+    for argv, name in [(["--curve", "line:1"], "line velocity"),
+                       (["--model", "sphere", "--dim", "3", "--field", "rotational"],
+                        "rotational"),
+                       (["--curve", f"table:{tmp_path / 'missing.csv'}"], "missing.csv")]:
+        assert run_cli(["ratio", "--paths", "1000", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
 
 
 # ---------------------------------------------------------------------------

@@ -369,8 +369,7 @@ def test_stokes_rotational_exact(euclid2_chart):
 def test_stokes_gradient_field_invisible(euclid2_chart):
     # gradient drifts have no curl: line integral and closing segment cancel
     grad = om.DriftField(d=2, f=lambda t, x: 0.7 * x,
-                         div_f=lambda t, x: np.full(np.shape(x)[:-1], 1.4),
-                         kind="custom", params={})
+                         div_f=lambda t, x: np.full(np.shape(x)[:-1], 1.4))
     forms = om.girsanov_forms(euclid2_chart, grad)
     path = _y_path(euclid2_chart, 1e-3, 3, 1)
     assert abs(cp.stokes_consistency(euclid2_chart, forms, path)) < 1e-10
@@ -380,8 +379,7 @@ def test_stokes_cubic_field_slope(euclid2_chart):
     cubic = om.DriftField(
         d=2,
         f=lambda t, x: np.stack([-x[..., 1] ** 3, x[..., 0] ** 3], axis=-1),
-        div_f=lambda t, x: np.zeros(np.shape(x)[:-1]),
-        kind="custom", params={})
+        div_f=lambda t, x: np.zeros(np.shape(x)[:-1]))
     forms = om.girsanov_forms(euclid2_chart, cubic)
     dts = (2e-3, 1e-3, 5e-4)
     resids = []

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from omtube import geometry as geo
 from omtube.errors import ChartDomainError, ConstructionError
@@ -47,6 +48,50 @@ def test_radial_identities(fixture, request):
     # sigma is the SPD square root of the inverse metric
     assert np.max(np.abs(np.einsum("mij,mjk->mik", sg, sg) - gi)) < 1e-10
     assert np.all(np.linalg.eigvalsh(gi) > 0)
+
+
+@st.composite
+def _radial_cases(draw):
+    """A closed-form chart of dimension 1..4 with points 0.05..0.95 of the
+    tube radius from the origin, and vectors to apply sigma to."""
+    kind = draw(st.sampled_from(["sphere", "hyperbolic", "euclidean"]))
+    d = draw(st.integers(1, 4))
+    scale = draw(st.floats(0.5, 2.0))
+    model = {"sphere": lambda: geo.sphere(d, scale),
+             "hyperbolic": lambda: geo.hyperbolic(d, scale),
+             "euclidean": lambda: geo.euclidean(d)}[kind]()
+    chart = geo.fermi_chart(model, geo.constant_curve(T=1.0), 1.2 * scale)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 6))
+    x = rng.standard_normal((n, d))
+    x *= chart.tube_radius * rng.uniform(0.05, 0.95, (n, 1)) / np.linalg.norm(
+        x, axis=1, keepdims=True)
+    return chart, x, rng.standard_normal((n, d))
+
+
+@given(_radial_cases())
+def test_radial_chart_identities_and_numerical_evaluators(case):
+    ch, x, v = case
+    t = 0.3
+    g, gi, sg = ch.metric(t, x), ch.metric_inv(t, x), ch.sigma(t, x)
+
+    def dev(a, b):
+        return np.max(np.abs(a - b))
+
+    assert dev(g @ gi, np.eye(ch.d)) < 1e-13
+    assert dev(sg @ sg, gi) < 1e-13
+    assert dev(np.einsum("mij,mj->mi", gi, x), x) < 1e-13
+    assert dev(np.einsum("mij,mj->mi", sg, x), x) < 1e-13
+    assert dev(ch.sigma_apply(t, x, v), np.einsum("mij,mj->mi", sg, v)) < 1e-13
+    assert dev(ch.sigma_diag(t, x), np.diagonal(sg, axis1=-2, axis2=-1)) < 1e-13
+    assert dev(ch.sqrt_det(t, x), np.sqrt(np.linalg.det(g))) < 1e-13
+    # the base class derives the same evaluators from the metric alone
+    base = geo.MetricChart
+    for name in ("metric_inv", "sigma", "sigma_diag", "sqrt_det"):
+        assert dev(getattr(base, name)(ch, t, x), getattr(ch, name)(t, x)) < 1e-13
+    assert dev(base.sigma_apply(ch, t, x, v), ch.sigma_apply(t, x, v)) < 1e-13
+    assert dev(base.bessel_drift(ch, t, x), ch.bessel_drift(t, x)) < 1e-12
+    assert dev(base.coriolis(ch, t, x), ch.coriolis(t, x)) < 1e-10
 
 
 def test_sqrt_det(sphere2_chart):
@@ -225,6 +270,26 @@ def test_warped_coriolis_against_refined_fd(warped3_chart):
     assert np.max(np.abs(a1 - a2)) < 1e-8
 
 
+def test_moving_shot_chart_frame():
+    # frame transport along a moving curve of a warped model, read off grid
+    def gamma(t):
+        return np.array([0.2 + 0.5 * t, 0.1 * math.sin(3 * t), -0.2 + 0.3 * t * t])
+
+    def gamma_dot(t):
+        return np.array([0.5, 0.3 * math.cos(3 * t), 0.6 * t])
+
+    curve = geo.ambient_curve(gamma, gamma_dot, T=0.5, n_grid=16)
+    ch = geo.fermi_chart(geo.warped_diagonal(3, "bump_strong"), curve, 0.3)
+    assert isinstance(ch, geo.ShotChart)
+    for t in (0.013, 0.21, 0.437):
+        G = ch.ambient.metric(gamma(t))
+        E = ch.frames(t)
+        assert np.max(np.abs(E.T @ G @ E - np.eye(3))) < 1e-6
+        assert np.max(np.abs(ch.metric(t, np.zeros(3)) - np.eye(3))) < 1e-6
+        speed = math.sqrt(gamma_dot(t) @ G @ gamma_dot(t))
+        assert abs(np.linalg.norm(ch.velocity_frame(t)) - speed) < 1e-6
+
+
 def test_precomputed_chart_matches_base(warped3_chart):
     fast = geo.PrecomputedChart(warped3_chart, n_nodes=17)
     rng = np.random.default_rng(9)
@@ -298,6 +363,12 @@ def test_model_validation():
         geo.ManifoldModel("torus", 2)
     with pytest.raises(ConstructionError):
         geo.warped_diagonal(2, "no_such_profile")
+
+
+def test_fermi_chart_rejects_unknown_method():
+    with pytest.raises(ConstructionError, match="grid"):
+        geo.fermi_chart(geo.sphere(2, 1.0), geo.constant_curve(T=1.0), 0.5,
+                        method="grid")
 
 
 def test_domain_check(sphere2_chart):

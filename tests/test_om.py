@@ -57,7 +57,7 @@ def test_action_ou_divergence(euclid1_chart):
 def test_action_fd_divergence_matches_analytic(euclid2_chart):
     A = np.array([[0.3, 0.1], [-0.2, -0.7]])
     analytic = om.linear_field(A)
-    fd = om.DriftField(d=2, f=analytic.f, kind="custom", params={})
+    fd = om.DriftField(d=2, f=analytic.f)
     a1 = om.om_action(euclid2_chart, analytic)
     a2 = om.om_action(euclid2_chart, fd)
     assert abs(a1.value - a2.value) < 1e-8
@@ -159,7 +159,7 @@ def test_alpha_kernel_gauge_invariance(euclid2_chart):
     def perturbed(t, x):
         return base(t, x) + 0.8 * x  # gradient of 0.4 |x|^2
 
-    field2 = om.DriftField(d=2, f=perturbed, kind="custom", params={})
+    field2 = om.DriftField(d=2, f=perturbed)
     x = np.array([0.3, 0.25])
     K1 = om.alpha_kernel(euclid2_chart, base, 0.0, x)
     K2 = om.alpha_kernel(euclid2_chart, field2, 0.0, x)
@@ -217,7 +217,7 @@ def test_alpha_kernel_routing(sphere2_chart, warped3_chart, monkeypatch):
     rng = np.random.default_rng(21)
     x = random_ball_points(rng, 2, 0.5, 6)
     A = np.array([[0.3, -1.1], [0.4, 0.2]])
-    custom = om.DriftField(d=2, f=om.linear_field(A).f, kind="custom", params={})
+    custom = om.DriftField(d=2, f=om.linear_field(A).f)
     axes = (np.linspace(-1, 1, 9),) * 2
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     table = om.table_field(axes, mesh @ A.T)
