@@ -92,7 +92,7 @@ def resolve_config(raw):
             raise ValueError(f"delta: must be positive, got {dv}")
     if cfg["model"] not in ("euclidean", "sphere", "hyperbolic", "warped"):
         raise ValueError(f"model: unknown kind {cfg['model']!r}")
-    if cfg["scheme"] not in ("euler_maruyama", "milstein_diagonal"):
+    if cfg["scheme"] not in sde.SCHEMES:
         raise ValueError(f"scheme: unknown scheme {cfg['scheme']!r}")
     if cfg["tube_radius"] is None:
         top = max(cfg["delta"])
@@ -108,8 +108,7 @@ def resolve_config(raw):
     if max(cfg["delta"]) >= cfg["tube_radius"]:
         raise ValueError("delta: must stay below tube_radius")
     if cfg["dt"] is None:
-        target = min(dv ** 2 / 50 for dv in cfg["delta"])
-        cfg["dt"] = cfg["T"] / max(1, math.ceil(cfg["T"] / target))
+        cfg["dt"] = sde._auto_dt(cfg["T"], cfg["delta"])
     cfg["dt"] = float(cfg["dt"])
     return cfg
 
@@ -321,7 +320,7 @@ def _maybe_dump(cfg, kind, chart, field):
         if kind == "bm":
             paths.append(sde.simulate_bm(cfg["dim"], pc))
         else:
-            paths.append(sde.simulate_X(chart, field, chart.curve, pc))
+            paths.append(sde.simulate_X(chart, field, pc))
     with open(cfg["dump"], "w") as fh:
         sde.dump_paths_ndjson(fh, paths, max_paths=n)
 
@@ -368,7 +367,7 @@ def build_parser():
         sp.add_argument("--n-grid", dest="n_grid", type=int)
         sp.add_argument("--bridge", dest="bridge", action="store_true", default=None)
         sp.add_argument("--no-bridge", dest="bridge", action="store_false")
-        sp.add_argument("--scheme", choices=["euler_maruyama", "milstein_diagonal"])
+        sp.add_argument("--scheme", choices=sde.SCHEMES)
         sp.add_argument("--out", help="JSON artifact path")
         sp.add_argument("--csv", help="CSV artifact path")
         sp.add_argument("--dump", help="NDJSON path dump (debugging)")

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _rng
 from .errors import ChartDomainError, ConstructionError, InsufficientSamplesError
+from .sde import _chunks, _step_lanes
 
 __all__ = [
     "JMaps",
@@ -186,18 +187,16 @@ class CoupledState:
         return (1.0 - self.uu) * math.exp(0.5 * self.G_int)
 
 
-def coupled_step(chart, state, dW, dt, jmaps=None, forms=None, dW1_fresh=0.0):
+def coupled_step(chart, state, dW, dt, forms=None):
     """Advance one coupled state by one Euler step from the shared noise dW.
 
     Uses the identical arithmetic as the vectorized ensemble integrator;
     exposed for direct inspection and unit tests.  Returns the new state
     and the per-step extras (dB, dBt, dW0, dW1, H, G, ...).
     """
-    j = jmaps or build_J(chart.d)
-    out = _step_batch(chart, j, state.t,
+    out = _step_batch(chart, build_J(chart.d), state.t,
                       state.Y[None, :], state.Y_tilde[None, :],
-                      dW[None, :], dt, forms,
-                      fresh_w1=np.atleast_1d(np.asarray(dW1_fresh, dtype=float)))
+                      dW[None, :], dt, forms)
     new = CoupledState(
         t=state.t + dt,
         Y=out["Y"][0], Y_tilde=out["Yt"][0],
@@ -340,10 +339,11 @@ class CoupledEnsemble:
 RECORDS = tuple(f.name for f in fields(CoupledEnsemble) if f.type is np.ndarray)
 
 # launch values of the running per-lane state: the records that accumulate
-# along the path, plus the Lemma-uu prediction behind ``uu_pred_gap``
+# along the path, the Lemma-uu prediction behind ``uu_pred_gap`` and the two
+# diagnostics, per lane until the chunk sums and maximizes them
 _RUNNING = {"max_radial_gap": 0.0, "uu_final": 1.0, "uu_pred": 1.0, "sup_udiff": 0.0,
             "M_ito": 0.0, "M_bracket": 0.0, "L": 0.0, "L_tilde": 0.0, "G_int": 0.0,
-            "nu": 0.0, "ortho_cov": 0.0}
+            "nu": 0.0, "ortho_cov": 0.0, "h2_le_g_violations": 0, "w0_identity_dev": 0.0}
 
 
 def martingale_Mp(records, p):
@@ -351,14 +351,16 @@ def martingale_Mp(records, p):
     return p * np.asarray(records.M_ito) - 0.5 * p * p * np.asarray(records.M_bracket)
 
 
-def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, jmaps=None,
-                              track_forms=None, chunk_range=None):
+def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, chunk_range=None):
     """Run the coupled pair for an ensemble and collect diagnostics.
 
     ``forms`` (a :class:`~omtube.om.GirsanovForms`) switches on the
     bookkeeping of the area martingale and the beta integrals.  The pair is
     launched from one shared plain Gaussian step (sigma(0) = I, c(0) = 0),
-    after which both spherical parts are defined and equal.
+    after which both spherical parts are defined and equal.  Each chunk
+    then runs the stepping loop of :mod:`omtube.sde` over the pair and the
+    running records; a lane leaves at the first grid state with
+    |Y| >= delta.  ``chunk_range`` is as in ``sde.run_tube_ensemble``.
     """
     if cfg.delta is None:
         raise ConstructionError("coupled ensembles need a tube radius delta")
@@ -369,98 +371,68 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, jmaps=None,
                                 "the bookkeeping needs exact grid states")
     T, n_steps = cfg.horizon(chart.curve)
     d = chart.d
-    j = jmaps or build_J(d)
-    sq = math.sqrt(cfg.dt)
+    j = build_J(d)
+    dt = cfg.dt
+    sq = math.sqrt(dt)
     delta = cfg.delta
-    chunks = list(_rng.iter_chunks(n_paths))
-    if chunk_range is not None:
-        chunks = [(jj, m) for (jj, m) in chunks if chunk_range[0] <= jj < chunk_range[1]]
-    track = forms if track_forms is not False else None
 
     parts = []
-    for chunk_id, m in chunks:
+    for chunk_id, m in _chunks(n_paths, chunk_range):
         gen = _rng.chunk_generator(cfg.seed, chunk_id)
-        h2_viol = 0
-        w0_dev_max = 0.0
 
         # launch: one plain Gaussian step shared by both processes
-        G0 = gen.standard_normal((m, d))
-        Y = sq * G0
-        Yt = Y.copy()
+        Y = sq * gen.standard_normal((m, d))
         r0 = np.linalg.norm(Y, axis=-1)
         degenerate = r0 < 1e-300
-
-        exited = np.zeros(m, dtype=bool)
-        tex = np.full(m, np.nan)
         live = ~degenerate & (r0 < delta)
-        exited[~live & ~degenerate] = True
-        tex[~live & ~degenerate] = cfg.dt
+        tex = np.full(m, np.nan)
+        tex[~live & ~degenerate] = dt
         lanes = np.nonzero(live)[0]
-        Y, Yt = Y[lanes], Yt[lanes]
-        # full-length records, scattered into at exit / at the end, and the
-        # compacted running state of the live lanes
-        rec = {k: np.full(m, v) for k, v in _RUNNING.items()}
-        run = {k: np.full(lanes.size, v) for k, v in _RUNNING.items()}
 
-        def scatter(sel):
-            for name, v in run.items():
-                rec[name][lanes[sel]] = v[sel]
-
-        for k in range(1, n_steps):
-            if lanes.size == 0:
-                break  # later draws are never consumed
-            dW = sq * gen.standard_normal((lanes.size, j.n))
-            w1f = sq * gen.standard_normal(lanes.size)
-            t = k * cfg.dt
-            res = _step_batch(chart, j, t, Y, Yt, dW, cfg.dt, track, fresh_w1=w1f)
-            w0_dev_max = max(w0_dev_max, float(np.max(res["w0_dev"], initial=0.0)))
+        def advance(k, s):
+            Y = s["Y"]
+            dW = sq * gen.standard_normal((Y.shape[0], j.n))
+            w1f = sq * gen.standard_normal(Y.shape[0])
+            res = _step_batch(chart, j, k * dt, Y, s["Yt"], dW, dt, forms, fresh_w1=w1f)
+            run = dict(s, Y=res["Y"], Yt=res["Yt"])
+            run["w0_identity_dev"] = np.maximum(s["w0_identity_dev"], res["w0_dev"])
+            # H^2 <= G must hold pointwise; count violations with a tiny slack
+            run["h2_le_g_violations"] = s["h2_le_g_violations"] + (
+                res["H"] ** 2 > res["G"] * (1 + 1e-12) + 1e-30)
 
             Rn = np.linalg.norm(res["Y"], axis=-1)
             Rtn = np.linalg.norm(res["Yt"], axis=-1)
-            run["max_radial_gap"] = np.maximum(run["max_radial_gap"], np.abs(Rn - Rtn))
-
-            # H^2 <= G must hold pointwise; count violations with a tiny slack
-            h2_viol += int(np.count_nonzero(
-                res["H"] ** 2 > res["G"] * (1 + 1e-12) + 1e-30))
-
-            run["uu_pred"] = (run["uu_pred"] + res["R"] * res["H"] * res["dW1"]
-                              - 0.5 * res["R"] ** 2 * res["G"] * run["uu_pred"] * cfg.dt)
-            run["nu"] = run["nu"] + res["dnu"] * np.exp(run["G_int"])
-            run["G_int"] = run["G_int"] + res["dG_int"]
-            run["M_ito"] = run["M_ito"] + res["dM_ito"]
-            run["M_bracket"] = run["M_bracket"] + res["dM_bracket"]
-            run["L"] = run["L"] + res["dL"]
-            run["L_tilde"] = run["L_tilde"] + res["dLt"]
+            run["max_radial_gap"] = np.maximum(s["max_radial_gap"], np.abs(Rn - Rtn))
+            run["uu_pred"] = (s["uu_pred"] + res["R"] * res["H"] * res["dW1"]
+                              - 0.5 * res["R"] ** 2 * res["G"] * s["uu_pred"] * dt)
+            run["nu"] = s["nu"] + res["dnu"] * np.exp(s["G_int"])
+            for name, inc in (("G_int", "dG_int"), ("M_ito", "dM_ito"), ("L", "dL"),
+                              ("M_bracket", "dM_bracket"), ("L_tilde", "dLt")):
+                run[name] = s[name] + res[inc]
             if d >= 2:
                 dA01 = (0.5 * (Y[:, 0] + res["Y"][:, 0]) * (res["Y"][:, 1] - Y[:, 1])
                         - 0.5 * (Y[:, 1] + res["Y"][:, 1]) * (res["Y"][:, 0] - Y[:, 0]))
-                run["ortho_cov"] = run["ortho_cov"] + dA01 * (Rn - res["R"])
+                run["ortho_cov"] = s["ortho_cov"] + dA01 * (Rn - res["R"])
             uu = np.einsum("mi,mi->m", res["Y"], res["Yt"]) / (Rn * Rtn)
             run["uu_final"] = uu
-            run["sup_udiff"] = np.maximum(run["sup_udiff"],
+            run["sup_udiff"] = np.maximum(s["sup_udiff"],
                                           np.sqrt(np.maximum(2.0 * (1.0 - uu), 0.0)))
-            Y = res["Y"]
-            Yt = res["Yt"]
+            return run, Rn >= delta
 
-            out = Rn >= delta
-            if out.any():
-                scatter(out)
-                gone = lanes[out]
-                exited[gone] = True
-                tex[gone] = (k + 1) * cfg.dt
-                keep = ~out
-                lanes = lanes[keep]
-                Y, Yt = Y[keep], Yt[keep]
-                run = {name: v[keep] for name, v in run.items()}
-
-        scatter(np.ones(lanes.size, dtype=bool))
+        # full-length records, copied into at exit and at the end, and the
+        # compacted running state of the live lanes
+        rec = {k: np.full(m, v) for k, v in _RUNNING.items()}
+        state = {"Y": Y[lanes], "Yt": Y[lanes],
+                 **{k: np.full(lanes.size, v) for k, v in _RUNNING.items()}}
+        _step_lanes(advance, range(1, n_steps), dt, state, lanes, tex, rec)
         uu_pred = rec.pop("uu_pred")
         parts.append(CoupledEnsemble(
-            n_paths=m, delta=delta, dt=cfg.dt, T=T, survived=~exited & ~degenerate,
+            n_paths=m, delta=delta, dt=dt, T=T, survived=np.isnan(tex) & ~degenerate,
             exit_time=tex,
             udiff_final=np.sqrt(np.maximum(2 * (1 - rec["uu_final"]), 0.0)),
-            uu_pred_gap=rec["uu_final"] - uu_pred, h2_le_g_violations=h2_viol,
-            w0_identity_dev=w0_dev_max, **rec))
+            uu_pred_gap=rec["uu_final"] - uu_pred,
+            h2_le_g_violations=int(rec.pop("h2_le_g_violations").sum()),
+            w0_identity_dev=float(rec.pop("w0_identity_dev").max(initial=0.0)), **rec))
     return CoupledEnsemble.concat(parts)
 
 

@@ -615,10 +615,11 @@ class DiagonalAmbient:
 class CallableAmbient:
     """Ambient metric from a plain callable; FD Christoffels (test oracle use)."""
 
-    def __init__(self, d, metric_fn, h=1e-5):
+    h = 1e-5  # finite-difference step of the metric derivatives
+
+    def __init__(self, d, metric_fn):
         self.d = int(d)
         self.metric_fn = metric_fn
-        self.h = h
 
     def metric(self, y):
         return self.metric_fn(np.asarray(y, dtype=float))
@@ -865,7 +866,7 @@ class MetricChart:
     def _coriolis_fd(self, t, x, h=None):
         h = h or 1e-3 * self.tube_radius
         d = self.d
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         sq = self.sqrt_det(t, x)
         for j in range(d):
@@ -1172,7 +1173,11 @@ def fermi_chart(model, curve=None, tube_radius=0.5, method=None):
         amb = DiagonalAmbient(model.dim, beta, prof)
     elif model.kind in ("sphere", "hyperbolic"):
         # shooting oracle: ambient = the closed-form chart metric at a fixed
-        # reference point, so the shot chart must reproduce the closed form
+        # reference point, so the shot chart must reproduce the closed form;
+        # its d-dimensional ambient cannot carry an embedded moving curve
+        if curve.kind != "constant":
+            raise ConstructionError(f"the shooting oracle needs a constant curve, "
+                                    f"not {curve.kind!r}")
         closed = RadialChart(model, curve, tube_radius, None)
         amb = CallableAmbient(model.dim, lambda y: closed.metric(0.0, y))
     else:
@@ -1277,19 +1282,16 @@ def curvature_from_chart_fd(chart, t=0.0, h=None):
                          at=(t, np.zeros(d)))
 
 
-def divergence_fd(fn, x, h, order=4):
-    """Divergence of a vector field by central differences (4th order)."""
+def divergence_fd(fn, x, h):
+    """Divergence of a vector field by 4th-order central differences."""
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     s = 0.0
     for j in range(d):
         e = np.zeros(d)
         e[j] = 1.0
-        if order == 4:
-            s = s + (fn(x - 2 * h * e)[..., j] - 8 * fn(x - h * e)[..., j]
-                     + 8 * fn(x + h * e)[..., j] - fn(x + 2 * h * e)[..., j]) / (12 * h)
-        else:
-            s = s + (fn(x + h * e)[..., j] - fn(x - h * e)[..., j]) / (2 * h)
+        s = s + (fn(x - 2 * h * e)[..., j] - 8 * fn(x - h * e)[..., j]
+                 + 8 * fn(x + h * e)[..., j] - fn(x + 2 * h * e)[..., j]) / (12 * h)
     return s
 
 

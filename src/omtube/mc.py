@@ -240,25 +240,20 @@ def estimate_tube_prob(process, *, chart=None, field=None, d=None, delta, dt,
 
 
 def estimate_ratio(chart, field, *, delta, dt, n_paths, seed=0,
-                   bridge_correction=True, scheme="euler_maruyama",
-                   threads=None, share_streams=False):
+                   bridge_correction=True, scheme="euler_maruyama", threads=None):
     """Tube-probability ratio of the lifted diffusion against flat BM.
 
     Both legs use the same dt, the same horizon, and the same monitoring
-    scheme; they draw from independent streams unless ``share_streams``
-    (exactly valid only in the flat case, where the two processes then
-    coincide pathwise).
+    scheme; they draw from independent streams derived from ``seed``.
     """
     field = field or om.zero_field(chart.d)
     T = chart.curve.T
-    seeds = (seed, seed) if share_streams else (_rng.leg_seed(seed, 0),
-                                                _rng.leg_seed(seed, 1))
     num = estimate_tube_prob("x", chart=chart, field=field, delta=delta, dt=dt,
-                             T=T, n_paths=n_paths, seed=seeds[0],
+                             T=T, n_paths=n_paths, seed=_rng.leg_seed(seed, 0),
                              bridge_correction=bridge_correction, scheme=scheme,
                              threads=threads)
     den = estimate_tube_prob("bm", d=chart.d, delta=delta, dt=dt, T=T,
-                             n_paths=n_paths, seed=seeds[1],
+                             n_paths=n_paths, seed=_rng.leg_seed(seed, 1),
                              bridge_correction=bridge_correction, scheme=scheme,
                              threads=threads)
     if num.n_survive == 0 or den.n_survive == 0:
@@ -372,8 +367,7 @@ def conditional_moment_experiment(chart, field, *, deltas, c, T, n_paths,
     decreases.
     """
     if dt is None:
-        target = min(d ** 2 / 50 for d in deltas)
-        dt = T / max(1, math.ceil(T / target))
+        dt = sde._auto_dt(T, deltas)
     rows = []
     for delta in deltas:
         ens = run_coupled(chart, field, delta=delta, dt=dt, T=T,

@@ -333,8 +333,8 @@ class GirsanovForms:
     def alpha(self, t, x):
         return alpha_form(self.chart, self.field, t, x)
 
-    def alpha_ij(self, t, x, n_gauss=8):
-        return alpha_kernel(self.chart, self.field, t, x, n_gauss=n_gauss)
+    def alpha_ij(self, t, x):
+        return alpha_kernel(self.chart, self.field, t, x)
 
     def beta(self, t, u):
         return beta(self.chart.curvature_at(t), u)
@@ -352,16 +352,16 @@ class TabulatedForms(GirsanovForms):
     numerically shot charts.
     """
 
-    def __init__(self, chart, field, n_nodes=17, n_gauss=8):
+    def __init__(self, chart, field, n_nodes=17):
         if chart.curve.kind != "constant":
             raise ValueError("tabulated forms need a constant curve")
         super().__init__(chart=chart, field=field)
         self._kernel = _GridTable(
-            lambda x: alpha_kernel(chart, field, 0.0, x, n_gauss=n_gauss),
+            lambda x: alpha_kernel(chart, field, 0.0, x),
             chart.tube_radius, n_nodes, chart.d, -1.0)
         self._curv = chart.curvature_at(0.0)
 
-    def alpha_ij(self, t, x, n_gauss=None):
+    def alpha_ij(self, t, x):
         return self._kernel(x)
 
     def beta(self, t, u):

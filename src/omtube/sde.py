@@ -2,18 +2,16 @@
 process and plain Brownian motion (whose modulus is the Bessel process),
 with tube-exit detection.
 
-Two entry styles:
-
-* ``simulate_X`` / ``simulate_Y`` / ``simulate_bm`` record one full
-  trajectory as a :class:`PathSample`; the driving noise comes from a
-  Philox stream keyed by ``(seed, path_index)``.
-* ``run_tube_ensemble`` steps many paths at once (vectorized over fixed
-  32768-lane chunks, ``_rng.CHUNK``, with per-chunk Philox streams) and
-  returns survival counts plus whatever terminal statistics were
-  requested.  Identical ``(seed, cfg)`` give bit-identical results for
-  any worker count.
-
-Both styles decide tube exits with the one rule ``tube_exit_check``.
+One stepping loop, ``_step_lanes``, advances the live lanes of a chunk;
+each caller supplies only the per-step ``advance`` (noise draw, step, exit
+mask).  ``run_tube_ensemble`` steps fixed 32768-lane chunks
+(``_rng.CHUNK``) with per-chunk Philox streams and returns survival counts
+plus whatever terminal statistics were requested; identical
+``(seed, cfg)`` give bit-identical results for any worker count.
+``simulate_X`` / ``simulate_Y`` / ``simulate_bm`` run a single path as one
+lane, on a Philox stream keyed by ``(seed, path_index)``, and record it as
+a :class:`PathSample`.  :mod:`omtube.coupling` steps the coupled pair with
+the same loop.  Tube lanes exit by the one rule ``tube_exit_check``.
 
 The denominator of the tube-probability ratio is always simulated with the
 same time step and the same exit monitoring as the numerator, so the
@@ -22,7 +20,7 @@ discrete-monitoring bias largely cancels in the ratio.
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +28,7 @@ from . import _rng
 from .errors import ChartDomainError, ConstructionError, EstimationError
 
 __all__ = [
+    "SCHEMES",
     "IntegratorConfig",
     "PathSample",
     "EnsembleResult",
@@ -41,6 +40,14 @@ __all__ = [
     "bm_tube_survival_theta",
     "dump_paths_ndjson",
 ]
+
+SCHEMES = ("euler_maruyama", "milstein_diagonal")
+
+
+def _auto_dt(T, deltas):
+    """Default time step: T split into whole steps of at most min(delta)^2/50."""
+    target = min(d ** 2 / 50 for d in deltas)
+    return T / max(1, math.ceil(T / target))
 
 
 @dataclass
@@ -58,7 +65,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ConstructionError("dt must be positive")
-        if self.scheme not in ("euler_maruyama", "milstein_diagonal"):
+        if self.scheme not in SCHEMES:
             raise ConstructionError(f"unknown scheme {self.scheme!r}")
         if self.delta is not None and self.delta <= 0:
             raise ConstructionError("delta must be positive when set")
@@ -88,7 +95,6 @@ class PathSample:
     radial: np.ndarray
     exited: bool
     exit_time: float = None
-    log_weight: float = 0.0
 
 
 @dataclass
@@ -102,7 +108,6 @@ class EnsembleResult:
     T: float
     exit_times: np.ndarray = None
     terminal: np.ndarray = None
-    radial_at: dict = dc_field(default_factory=dict)
 
     @property
     def survival(self):
@@ -177,62 +182,101 @@ def _make_stepper(kind, chart, drift_field, cfg):
     raise ConstructionError(f"unknown process kind {kind!r}")
 
 
-def _simulate_single(kind, d, cfg, chart=None, drift_field=None, curve=None):
-    T, n_steps = cfg.horizon(curve if curve is not None else
-                             (chart.curve if chart is not None else None))
-    gen = _rng.path_generator(cfg.seed, cfg.path_index)
+def _tube_advance(step, cfg, chart, gen):
+    """``advance`` of tube lanes (state ``y`` and ``r`` = |y|) moved by ``step``
+    on noise from ``gen``; without a tube, a lane beyond the chart raises."""
+    delta, dt = cfg.delta, cfg.dt
+    bridge = cfg.bridge_correction and delta is not None
+    bound = chart.tube_radius if chart is not None else np.inf
+    sq = math.sqrt(dt)
+
+    def advance(k, s):
+        y = step(k * dt, s["y"], sq * gen.standard_normal(s["y"].shape))
+        # sqrt of the plain squared sum, as PathSample.radial, so that a
+        # recorded path's radii are the ones its exit rule saw
+        r = np.sqrt(np.einsum("mi,mi->m", y, y))
+        if delta is None:
+            if np.any(r > bound):
+                raise ChartDomainError(f"a path left the chart domain at t = {(k + 1) * dt:.4g}"
+                                       "; set delta or enlarge tube_radius")
+            return {"y": y, "r": r}, None
+        p = tube_exit_check(s["r"], r, delta, dt, bridge)
+        return {"y": y, "r": r}, (gen.random(r.size) < p if bridge else p >= 1.0)
+    return advance
+
+
+def _step_lanes(advance, steps, dt, state, lanes, exit_time, records):
+    """The stepping loop: advance the live lanes of one chunk over ``steps``.
+
+    ``state`` maps names to arrays over the live ``lanes`` (chunk indices);
+    ``advance(k, state)`` returns the next state and a mask of the lanes
+    that left (None: none can).  Leaving lanes get exit time (k + 1) dt and
+    are compacted away, their entries of the states named in ``records``
+    copied there first; survivors' entries are copied at the end.  Returns
+    the surviving lanes and their state.
+    """
+    for k in steps:
+        if lanes.size == 0:
+            break
+        # ``stepped`` lives through the next step: freeing it on compaction
+        # gave a forked worker's X leg 2-3x the page faults, up to 8 % slower
+        stepped, out = advance(k, state)
+        state = stepped
+        if out is not None and out.any():
+            gone = lanes[out]
+            exit_time[gone] = (k + 1) * dt
+            for name, rec in records.items():
+                rec[gone] = stepped[name][out]
+            keep = ~out
+            lanes = lanes[keep]
+            state = {name: v[keep] for name, v in stepped.items()}
+    for name, rec in records.items():
+        rec[lanes] = state[name]
+    return lanes, state
+
+
+def _chunks(n_paths, chunk_range):
+    """(index, lane count) of the chunks of ``n_paths`` in ``chunk_range``."""
+    return [(j, m) for j, m in _rng.iter_chunks(n_paths)
+            if chunk_range is None or chunk_range[0] <= j < chunk_range[1]]
+
+
+def _simulate_single(kind, d, cfg, chart=None, drift_field=None):
+    """One lane of the stepping loop, its increments and states recorded."""
+    _, n_steps = cfg.horizon(chart.curve if chart is not None else None)
     step = _make_stepper(kind, chart, drift_field, cfg)
-    sq = math.sqrt(cfg.dt)
-    times = np.array([0.0])
-    y = np.zeros(d)
-    states = [y.copy()]
-    incs = []
-    radial = [0.0]
-    exited = False
-    exit_time = None
-    delta = cfg.delta
-    for k in range(n_steps):
-        t = k * cfg.dt
-        dB = sq * gen.standard_normal(d)
-        ub = gen.random() if (delta is not None and cfg.bridge_correction) else None
+    incs, states = [], [np.zeros(d)]
+
+    def recorded_step(t, y, dB):
         y_new = step(t, y, dB)
-        # the |states| convention: sqrt of the plain squared sum, so that
-        # PathSample.radial reproduces bit-for-bit from states
-        r0 = math.sqrt(float(np.einsum("i,i->", y, y)))
-        r1 = math.sqrt(float(np.einsum("i,i->", y_new, y_new)))
-        incs.append(dB)
-        states.append(y_new.copy())
-        radial.append(r1)
-        y = y_new
-        if delta is not None:
-            p = float(tube_exit_check(r0, r1, delta, cfg.dt, cfg.bridge_correction))
-            if (p >= 1.0) or (ub is not None and ub < p):
-                exited = True
-                exit_time = (k + 1) * cfg.dt
-                break
-        elif chart is not None and r1 > chart.tube_radius:
-            raise ChartDomainError(
-                f"path left the chart domain (|x| = {r1:.4g}) at t = {(k + 1) * cfg.dt:.4g}")
-    n_rec = len(states)
+        incs.append(dB[0])
+        states.append(y_new[0])
+        return y_new
+
+    gen = _rng.path_generator(cfg.seed, cfg.path_index)
+    tex = np.full(1, np.nan)
+    _step_lanes(_tube_advance(recorded_step, cfg, chart, gen), range(n_steps), cfg.dt,
+                {"y": np.zeros((1, d)), "r": np.zeros(1)}, np.arange(1), tex, {})
+    states = np.array(states)
+    exited = not np.isnan(tex[0])
     return PathSample(
-        times=np.arange(n_rec) * cfg.dt,
-        states=np.array(states),
-        increments=np.array(incs) if incs else np.zeros((0, d)),
-        radial=np.array(radial),
+        times=np.arange(len(states)) * cfg.dt,
+        states=states,
+        increments=np.array(incs),
+        radial=np.sqrt(np.einsum("ki,ki->k", states, states)),
         exited=exited,
-        exit_time=exit_time,
+        exit_time=float(tex[0]) if exited else None,
     )
 
 
-def simulate_X(chart, field, curve, cfg):
+def simulate_X(chart, field, cfg):
     """One path of the lifted diffusion dX = sigma dB + (a + f - gamma_dot) dt."""
-    return _simulate_single("x", chart.d, cfg, chart=chart, drift_field=field,
-                            curve=curve)
+    return _simulate_single("x", chart.d, cfg, chart=chart, drift_field=field)
 
 
-def simulate_Y(chart, cfg, curve=None):
+def simulate_Y(chart, cfg):
     """One path of the radial reference dY = sigma dB + c dt (Bessel radial law)."""
-    return _simulate_single("y", chart.d, cfg, chart=chart, curve=curve)
+    return _simulate_single("y", chart.d, cfg, chart=chart)
 
 
 def simulate_bm(d, cfg):
@@ -248,98 +292,44 @@ def simulate_bm(d, cfg):
 # ---------------------------------------------------------------------------
 
 def run_tube_ensemble(kind, d, cfg, n_paths, chart=None, drift_field=None,
-                      record_radial_at=(), want_terminal=False,
-                      want_exit_times=False, chunk_range=None):
+                      want_terminal=False, want_exit_times=False, chunk_range=None):
     """Simulate ``n_paths`` paths and reduce to counts and optional arrays.
 
-    kind: "x", "y", or "bm".  ``record_radial_at`` collects |state| of every
-    path at the listed times (valid only without a tube stop).  When
-    ``chunk_range`` is given, only those chunk indices are simulated (the
-    pool in :mod:`omtube.mc` hands each forked worker one such slice);
+    kind: "x", "y", or "bm".  Each chunk runs the stepping loop from the
+    origin on its own Philox stream, drawing noise only for the lanes still
+    alive (see :mod:`omtube._rng` for the determinism contract).
+    ``terminal`` is NaN for exited paths, ``exit_times`` NaN for survivors.
+    When ``chunk_range`` is given, only those chunk indices are simulated
+    (the pool in :mod:`omtube.mc` hands each forked worker one such slice);
     counts then refer to that slice.
-
-    Exited lanes are compacted away between steps and noise is drawn only
-    for the lanes still alive; see :mod:`omtube._rng` for the determinism
-    contract this preserves.
     """
     T, n_steps = cfg.horizon(chart.curve if chart is not None else None)
     if cfg.delta is not None and chart is not None and cfg.delta >= chart.tube_radius:
         raise ChartDomainError("tube delta must stay below the chart tube radius")
     step = _make_stepper(kind, chart, drift_field, cfg)
-    sq = math.sqrt(cfg.dt)
-    delta = cfg.delta
-    bridge = cfg.bridge_correction and delta is not None
-    rec_steps = {}
-    for treq in record_radial_at:
-        krec = int(round(treq / cfg.dt))
-        if abs(krec * cfg.dt - treq) > 1e-9:
-            raise ConstructionError(f"record time {treq} not on the dt grid")
-        if delta is not None:
-            raise ConstructionError("radial recording needs delta=None")
-        rec_steps.setdefault(krec, treq)
-
-    chunks = list(_rng.iter_chunks(n_paths))
-    if chunk_range is not None:
-        chunks = [(j, m) for (j, m) in chunks if chunk_range[0] <= j < chunk_range[1]]
-
-    n_survive = 0
-    n_total = 0
-    exit_times = [] if want_exit_times else None
-    terminals = [] if want_terminal else None
-    radial_records = {treq: [] for treq in rec_steps.values()}
-
-    tube_bound = chart.tube_radius if chart is not None else np.inf
-    for chunk_id, m in chunks:
+    exit_times = []
+    terminals = []
+    for chunk_id, m in _chunks(n_paths, chunk_range):
         gen = _rng.chunk_generator(cfg.seed, chunk_id)
-        lanes = np.arange(m)
-        y = np.zeros((m, d))
-        r = np.zeros(m)
         tex = np.full(m, np.nan)
-        y_final = np.full((m, d), np.nan) if want_terminal else None
-        for k in range(n_steps):
-            if lanes.size == 0:
-                break
-            t = k * cfg.dt
-            y_new = step(t, y, sq * gen.standard_normal((lanes.size, d)))
-            r1 = np.sqrt(np.einsum("mi,mi->m", y_new, y_new))
-            if delta is not None:
-                p = tube_exit_check(r, r1, delta, cfg.dt, bridge)
-                out = gen.random(lanes.size) < p if bridge else p >= 1.0
-                if out.any():
-                    gone = lanes[out]
-                    tex[gone] = (k + 1) * cfg.dt
-                    keep = ~out
-                    lanes = lanes[keep]
-                    y = y_new[keep]
-                    r = r1[keep]
-                else:
-                    y = y_new
-                    r = r1
-            else:
-                if np.any(r1 > tube_bound):
-                    raise ChartDomainError("a path left the chart domain; "
-                                           "set delta or enlarge tube_radius")
-                y = y_new
-                r = r1
-            if (k + 1) in rec_steps:
-                radial_records[rec_steps[k + 1]].append(r.copy())
-        n_total += m
-        n_survive += int(lanes.size)
-        if want_exit_times:
-            exit_times.append(tex)
+        exit_times.append(tex)
+        lanes, state = _step_lanes(_tube_advance(step, cfg, chart, gen),
+                                   range(n_steps), cfg.dt,
+                                   {"y": np.zeros((m, d)), "r": np.zeros(m)},
+                                   np.arange(m), tex, {})
         if want_terminal:
-            y_final[lanes] = y
-            terminals.append(y_final)
+            terminals.append(np.full((m, d), np.nan))
+            terminals[-1][lanes] = state["y"]
 
+    exit_times = np.concatenate(exit_times)
     return EnsembleResult(
-        n_paths=n_total,
-        n_survive=n_survive,
-        delta=delta if delta is not None else np.inf,
+        n_paths=exit_times.size,
+        n_survive=int(np.count_nonzero(np.isnan(exit_times))),
+        delta=cfg.delta if cfg.delta is not None else np.inf,
         dt=cfg.dt,
         T=T,
-        exit_times=np.concatenate(exit_times) if want_exit_times else None,
+        exit_times=exit_times if want_exit_times else None,
         terminal=np.concatenate(terminals) if want_terminal else None,
-        radial_at={t: np.concatenate(v) for t, v in radial_records.items()},
     )
 
 
@@ -347,21 +337,21 @@ def run_tube_ensemble(kind, d, cfg, n_paths, chart=None, drift_field=None,
 # small-ball reference value
 # ---------------------------------------------------------------------------
 
-def bm_tube_survival_theta(delta, T, tol=1e-16, max_terms=200):
+def bm_tube_survival_theta(delta, T):
     """P[max_{[0,T]} |B(t)| <= delta] for 1-d Brownian motion.
 
     Alternating theta series (4/pi) sum (-1)^k/(2k+1) exp(-(2k+1)^2 pi^2 T
-    / (8 delta^2)), summed until the term drops below ``tol``.
+    / (8 delta^2)), summed until a term drops below 1e-16 (at most 200 terms).
     """
     if delta <= 0 or T <= 0:
         raise EstimationError("delta and T must be positive")
     s = 0.0
     lam = math.pi ** 2 * T / (8.0 * delta ** 2)
-    for k in range(max_terms):
+    for k in range(200):
         n = 2 * k + 1
         term = ((-1) ** k / n) * math.exp(-n * n * lam)
         s += term
-        if abs(term) < tol:
+        if abs(term) < 1e-16:
             break
     return 4.0 * s / math.pi
 

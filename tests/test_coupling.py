@@ -155,7 +155,7 @@ def test_levy_area_circle():
 
 def test_levy_area_orthogonal_to_radial(sphere2_chart):
     cfg = sde.IntegratorConfig(dt=1e-4, T=0.5, delta=0.2, seed=3)
-    ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 1000, track_forms=False)
+    ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 1000)
     oc = ens.ortho_cov
     se = float(np.std(oc, ddof=1)) / math.sqrt(len(oc))
     assert abs(float(np.mean(oc))) < 3 * se
@@ -167,14 +167,14 @@ def test_levy_area_orthogonal_to_radial(sphere2_chart):
 
 def test_flat_coupling_is_pathwise_identical(euclid2_chart):
     cfg = sde.IntegratorConfig(dt=1e-3, T=0.3, delta=0.6, seed=2)
-    ens = cp.simulate_coupled_ensemble(euclid2_chart, cfg, 2000, track_forms=False)
+    ens = cp.simulate_coupled_ensemble(euclid2_chart, cfg, 2000)
     assert float(np.max(ens.max_radial_gap)) == 0.0
     assert float(np.max(ens.sup_udiff)) < 1e-6  # |U|^2 roundoff only
 
 
 def test_w0_identity_per_step(sphere2_chart):
     cfg = sde.IntegratorConfig(dt=1e-3, T=0.1, delta=0.4, seed=4)
-    ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 500, track_forms=False)
+    ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 500)
     assert ens.w0_identity_dev < 1e-13
 
 
@@ -183,8 +183,7 @@ def test_radial_coincidence_and_tolerance(sphere2_chart):
     gaps = {}
     for dt in (4e-5, 2e-5):
         cfg = sde.IntegratorConfig(dt=dt, T=0.3, delta=delta, seed=3)
-        ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 500,
-                                           track_forms=False)
+        ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 500)
         assert float(np.max(ens.max_radial_gap)) < 50 * math.sqrt(dt) * delta
         assert ens.h2_le_g_violations == 0
         gaps[dt] = float(np.mean(ens.max_radial_gap))
@@ -196,7 +195,7 @@ def test_radial_coincidence_and_tolerance(sphere2_chart):
 
 def test_nu_inequality_pathwise(sphere2_chart):
     cfg = sde.IntegratorConfig(dt=2e-4, T=0.2, delta=0.35, seed=9)
-    ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 3000, track_forms=False)
+    ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 3000)
     bound = np.expm1(ens.G_int)
     assert np.all(ens.nu <= bound * (1 + 1e-9) + 1e-30)
 
@@ -212,7 +211,7 @@ def test_delta_reconstruction_single_step(sphere2_chart):
     dt = 1e-3
     for _ in range(50):
         dW = math.sqrt(dt) * rng.standard_normal(j.n)
-        state, extras = cp.coupled_step(sphere2_chart, state, dW, dt, jmaps=j)
+        state, extras = cp.coupled_step(sphere2_chart, state, dW, dt)
     want = (1.0 - state.uu) * math.exp(0.5 * state.G_int)
     assert state.Delta == pytest.approx(want, rel=1e-12)
     assert abs(np.linalg.norm(state.U) - 1) < 1e-9
@@ -228,7 +227,7 @@ def test_coupled_step_matches_ensemble_kernel(sphere2_chart):
     yt *= np.linalg.norm(y) / np.linalg.norm(yt)
     dW = np.array([0.01, -0.02])
     state = cp.CoupledState(t=0.0, Y=y, Y_tilde=yt, A=np.zeros((2, 2)))
-    new, extras = cp.coupled_step(sphere2_chart, state, dW, 1e-3, jmaps=j)
+    new, extras = cp.coupled_step(sphere2_chart, state, dW, 1e-3)
     out = cp._step_batch(sphere2_chart, j, 0.0, y[None], yt[None], dW[None],
                          1e-3, None)
     assert np.array_equal(new.Y, out["Y"][0])
@@ -253,8 +252,7 @@ def test_lemma_uu_prediction_converges(sphere2_chart):
     dts = (1.5e-3, 7.5e-4, 3.75e-4, 1.875e-4)
     for dt in dts:
         cfg = sde.IntegratorConfig(dt=dt, T=0.3, delta=0.35, seed=13)
-        ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 8000,
-                                           track_forms=False)
+        ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 8000)
         gaps.append(float(np.median(np.abs(ens.uu_pred_gap))))
     assert gaps[3] < gaps[1] < gaps[0]
     slope = fit_slope(dts, gaps)
@@ -303,14 +301,14 @@ def test_Mp_linear_in_p(sphere2_chart):
 
 def test_delta_tail_flat_is_zero(euclid2_chart):
     cfg = sde.IntegratorConfig(dt=1e-3, T=0.2, delta=0.5, seed=2)
-    ens = cp.simulate_coupled_ensemble(euclid2_chart, cfg, 2000, track_forms=False)
+    ens = cp.simulate_coupled_ensemble(euclid2_chart, cfg, 2000)
     lam, tail, K = cp.delta_tail_estimate(ens, lambdas=np.array([0.01, 0.1, 1.0]))
     assert np.all(tail == 0.0)
 
 
 def test_delta_tail_shape(sphere2_chart):
     cfg = sde.IntegratorConfig(dt=4e-4, T=0.2, delta=0.35, seed=9)
-    ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 30000, track_forms=False)
+    ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 30000)
     lam, tail, K = cp.delta_tail_estimate(ens)
     mask = tail > 0
     assert mask.sum() >= 3
@@ -327,8 +325,7 @@ def test_delta_tail_boundedness_across_delta(sphere2_chart):
     for delta in (0.4, 0.2, 0.1):
         dt = T / math.ceil(T / (delta ** 2 / 50))
         cfg = sde.IntegratorConfig(dt=dt, T=T, delta=delta, seed=5)
-        ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 30000,
-                                           track_forms=False)
+        ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 30000)
         surv = ens.survived
         vals.append(float(np.mean(
             np.exp(ens.udiff_final[surv] / math.sqrt(delta)))))
@@ -337,7 +334,7 @@ def test_delta_tail_boundedness_across_delta(sphere2_chart):
 
 def test_delta_tail_insufficient_samples(euclid2_chart):
     cfg = sde.IntegratorConfig(dt=1e-3, T=1.0, delta=0.25, seed=2)
-    ens = cp.simulate_coupled_ensemble(euclid2_chart, cfg, 1200, track_forms=False)
+    ens = cp.simulate_coupled_ensemble(euclid2_chart, cfg, 1200)
     with pytest.raises(InsufficientSamplesError):
         cp.delta_tail_estimate(ens)
 

@@ -366,9 +366,12 @@ def test_model_validation():
 
 
 def test_fermi_chart_rejects_unknown_method():
-    with pytest.raises(ConstructionError, match="grid"):
-        geo.fermi_chart(geo.sphere(2, 1.0), geo.constant_curve(T=1.0), 0.5,
-                        method="grid")
+    s2 = geo.sphere(2, 1.0)
+    for curve, method, match in [(geo.constant_curve(T=1.0), "grid", "grid"),
+                                 (geo.great_circle_curve(s2, 1.0, 0.1), "shoot",
+                                  "constant curve")]:
+        with pytest.raises(ConstructionError, match=match):
+            geo.fermi_chart(s2, curve, 0.5, method=method)
 
 
 def test_domain_check(sphere2_chart):

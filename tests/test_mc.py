@@ -54,11 +54,15 @@ def test_smallball_reference():
 # ---------------------------------------------------------------------------
 
 def test_ratio_flat_shared_streams_is_one(euclid2_chart):
-    r = mc.estimate_ratio(euclid2_chart, om.zero_field(2), delta=0.5, dt=1e-3,
-                          n_paths=5000, seed=5, share_streams=True)
-    assert r.ratio == 1.0
-    assert r.predicted == 1.0
-    assert abs(r.z_score) < 1e-12
+    # on the flat chart X is BM pathwise: legs on one stream have the same
+    # survivors and exit times, so their ratio is exactly exp(-S) = 1
+    kw = dict(delta=0.5, dt=1e-3, T=euclid2_chart.curve.T, n_paths=5000, seed=5,
+              keep_exit_times=True)
+    x = mc.estimate_tube_prob("x", chart=euclid2_chart, field=om.zero_field(2), **kw)
+    bm = mc.estimate_tube_prob("bm", d=2, **kw)
+    assert x.n_survive == bm.n_survive
+    assert np.array_equal(x.exit_times, bm.exit_times, equal_nan=True)
+    assert om.om_action(euclid2_chart, om.zero_field(2)).predicted_ratio() == 1.0
 
 
 def test_ratio_legs_use_independent_streams(euclid2_chart):

@@ -66,7 +66,7 @@ def test_config_validation():
 def test_flat_X_equals_bm_pathwise():
     wide = geo.fermi_chart(geo.euclidean(2), geo.constant_curve(T=0.5), 50.0)
     cfg = sde.IntegratorConfig(dt=1e-3, T=0.5, seed=42, path_index=3)
-    px = sde.simulate_X(wide, om.zero_field(2), wide.curve, cfg)
+    px = sde.simulate_X(wide, om.zero_field(2), cfg)
     pb = sde.simulate_bm(2, cfg)
     assert np.array_equal(px.states, pb.states)
     assert np.array_equal(px.increments, pb.increments)
@@ -74,8 +74,8 @@ def test_flat_X_equals_bm_pathwise():
 
 def test_single_path_determinism(euclid2_chart):
     cfg = sde.IntegratorConfig(dt=1e-3, T=0.2, seed=9, path_index=17, delta=0.4)
-    p1 = sde.simulate_X(euclid2_chart, om.zero_field(2), euclid2_chart.curve, cfg)
-    p2 = sde.simulate_X(euclid2_chart, om.zero_field(2), euclid2_chart.curve, cfg)
+    p1 = sde.simulate_X(euclid2_chart, om.zero_field(2), cfg)
+    p2 = sde.simulate_X(euclid2_chart, om.zero_field(2), cfg)
     assert np.array_equal(p1.states, p2.states)
     assert p1.exited == p2.exited and p1.exit_time == p2.exit_time
 
@@ -89,9 +89,23 @@ def test_ensemble_determinism():
     assert np.array_equal(r1.exit_times, r2.exit_times, equal_nan=True)
 
 
+def test_single_path_on_grid_chart(warped3_chart):
+    # numerical charts evaluate one point to the shape of its input, so a
+    # single path runs on them as one lane
+    grid = geo.PrecomputedChart(warped3_chart, n_nodes=5)
+    field = om.zero_field(3)
+    x = np.array([[0.1, -0.05, 0.12], [0.02, 0.15, -0.1]])
+    for fn in (grid.coriolis, lambda t, p: om.alpha_form(grid, field, t, p)):
+        one = fn(0.0, x[0])
+        assert one.shape == (3,)
+        assert np.array_equal(one, fn(0.0, x)[0])
+    p = sde.simulate_X(grid, field, sde.IntegratorConfig(dt=1e-4, T=5e-4, seed=2))
+    assert p.states.shape == (6, 3) and p.increments.shape == (5, 3)
+
+
 def test_path_sample_invariants(euclid2_chart):
     cfg = sde.IntegratorConfig(dt=1e-3, T=0.3, delta=0.3, seed=21, path_index=5)
-    p = sde.simulate_X(euclid2_chart, om.zero_field(2), euclid2_chart.curve, cfg)
+    p = sde.simulate_X(euclid2_chart, om.zero_field(2), cfg)
     assert np.array_equal(p.radial, np.sqrt(np.einsum("ki,ki->k", p.states, p.states)))
     assert len(p.times) == len(p.states) == len(p.increments) + 1
     if p.exited:
@@ -123,11 +137,14 @@ def test_ou_terminal_variance(euclid1_chart):
 
 
 def test_sphere_radial_law_ks(sphere2_chart):
+    # without a tube no lane exits, so the run to 0.025 is the first half of
+    # the run to 0.05 on the same streams
     big = geo.fermi_chart(geo.sphere(2, 1.0), geo.constant_curve(T=0.05), 1.5)
-    cfg = sde.IntegratorConfig(dt=2e-4, T=0.05, seed=11)
-    res = sde.run_tube_ensemble("y", 2, cfg, 10000, chart=big,
-                                record_radial_at=(0.025, 0.05))
-    for tt, rr in res.radial_at.items():
+    for tt in (0.025, 0.05):
+        cfg = sde.IntegratorConfig(dt=2e-4, T=tt, seed=11)
+        y = sde.run_tube_ensemble("y", 2, cfg, 10000, chart=big,
+                                  want_terminal=True).terminal
+        rr = np.sqrt(np.einsum("mi,mi->m", y, y))
         assert stats.kstest(rr / math.sqrt(tt), stats.chi(2).cdf).pvalue > 0.01
         assert np.all(rr >= 0)
 
