@@ -83,6 +83,11 @@ def resolve_config(raw):
         cfg[key] = float(cfg[key])
     cfg["bridge"] = _parse_bool(cfg["bridge"])
     cfg["delta"] = _parse_delta(cfg["delta"])
+    floats = [(key, cfg[key]) for key in ("radius", "curvature_scale", "T", "c", "dt",
+                                          "tube_radius")]
+    for key, v in floats + [("delta", dv) for dv in cfg["delta"]]:
+        if v is not None and not math.isfinite(float(v)):
+            raise ValueError(f"{key}: must be finite, got {v}")
     for key in _NUMERIC_POSITIVE:
         v = cfg.get(key)
         if v is not None and float(v) <= 0:

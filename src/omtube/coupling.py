@@ -12,7 +12,9 @@ radial parts coincide pathwise in continuous time; the discrete gap is a
 measured diagnostic.  Alongside the pair the integrator tracks Levy areas,
 the inner-product process <U, Ut> with its closed-form SDE coefficients
 H and G, the compensated exponential bookkeeping (Delta, nu), and the
-area-integral martingale M_p.
+area-integral martingale M_p.  Each step evaluates the chart once at Y
+(``chart.at``); on radial charts G is the closed form
+(d - 1)(1/tl(R) - 1)^2 / R^4.
 """
 
 import math
@@ -102,18 +104,14 @@ def build_J(d):
 def H_of(chart, t, R, U, U_tilde):
     """H = |(sigma(t, R U) - I)(U - Ut)| / R^2 (batched)."""
     R = np.asarray(R, dtype=float)
-    y = R[..., None] * U
-    dv = chart.sigma_apply(t, y, U - U_tilde) - (U - U_tilde)
+    dv = chart.at(t, R[..., None] * U).sigma_apply(U - U_tilde) - (U - U_tilde)
     return np.linalg.norm(dv, axis=-1) / R ** 2
 
 
 def G_of(chart, t, R, U):
-    """G = tr((sigma(t, R U) - I)^2) / R^4 (batched)."""
-    R = np.asarray(R, dtype=float)
-    y = R[..., None] * U
-    s = chart.sigma(t, y)
-    dev = s - np.eye(chart.d)
-    return np.einsum("...ij,...ji->...", dev, dev) / R ** 4
+    """G = tr((sigma(t, y) - I)^2) / |y|^4 at y = R U (batched); on radial
+    charts the closed form (d - 1)(1/tl(|y|) - 1)^2 / |y|^4."""
+    return chart.at(t, np.asarray(R, dtype=float)[..., None] * U).G()
 
 
 def omega_matrix(U, U_tilde):
@@ -221,9 +219,10 @@ def _step_batch(chart, jmaps, t, Y, Yt, dW, dt, forms, fresh_w1=None):
     caller applies with its left-point running integral).
     """
     m, d = Y.shape
-    R = np.linalg.norm(Y, axis=-1)
+    # one evaluation of the chart at Y serves the step and the coefficients
+    at = chart.at(t, Y)
+    R, U = at.rho, at.u
     Rt = np.linalg.norm(Yt, axis=-1)
-    U = Y / R[:, None]
     Ut = Yt / Rt[:, None]
 
     dB = jmaps.apply(U, dW)
@@ -232,18 +231,17 @@ def _step_batch(chart, jmaps, t, Y, Yt, dW, dt, forms, fresh_w1=None):
     w0_dev = np.maximum(np.abs(np.einsum("mi,mi->m", U, dB) - dW0),
                         np.abs(np.einsum("mi,mi->m", Ut, dBt) - dW0))
 
-    sig_dB = chart.sigma_apply(t, Y, dB)
-    Y_new = Y + sig_dB + chart.bessel_drift(t, Y) * dt
+    Y_new = Y + at.sigma_apply(dB) + at.bessel_drift() * dt
     Yt_new = Yt + dBt
 
     # inner-product SDE coefficients at the pre-step state
-    sig_dU = chart.sigma_apply(t, Y, U - Ut) - (U - Ut)
+    sig_dU = at.sigma_apply(U - Ut) - (U - Ut)
     H = np.linalg.norm(sig_dU, axis=-1) / R ** 2
-    G = G_of(chart, t, R, U)
+    G = at.G()
 
     # W1 extraction: <(sigma - I) Ut, dB> / (R^2 H); on lanes where the
     # diffusion term degenerates a fresh independent increment stands in
-    sig_Ut = chart.sigma_apply(t, Y, Ut) - Ut
+    sig_Ut = at.sigma_apply(Ut) - Ut
     num = np.einsum("mi,mi->m", sig_Ut, dB)
     den = R ** 2 * H
     ok = den > 1e-14

@@ -29,6 +29,15 @@ Besselization drift); each subclass supplies ``metric`` and ``curvature_at``:
 * ``PrecomputedChart`` -- the metric of a time-independent shot chart,
   sampled on a cube grid and interpolated by cubic B-splines.
 
+Per-point evaluation.  ``chart.at(t, x)`` evaluates a chart at a batch of
+points once per step of the steppers in :mod:`omtube.sde` and
+:mod:`omtube.coupling`: ``sigma_apply(v)``, ``sigma_diag()``, ``coriolis()``,
+``bessel_drift()`` and ``G()`` = tr((sigma - I)^2) / |x|^4.  A
+``RadialChart`` point computes rho = |x|, u = x/rho and 1/tl(rho) once and
+holds every radial formula, G in closed form, and the chart's evaluators
+wrap it; on the other charts the point forms the sigma matrix once and
+takes the drifts from the numerical evaluators.
+
 Conventions.  ``metric`` is the matrix (g_ij) defining lengths,
 ``metric_inv`` = (g^ij) is the diffusion coefficient, and
 ``sigma = metric_inv^(1/2)`` is symmetric.  The Coriolis drift is the
@@ -48,6 +57,7 @@ All chart evaluators accept batched points ``x`` of shape ``(..., d)``.
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -244,38 +254,36 @@ def _by_branch(small, z, series, direct):
     return out
 
 
-def _cot_minus_inv(z):
-    """cot(z) - 1/z."""
-    z = np.asarray(z, dtype=float)
-    return _by_branch(
-        z < _Z_CUT, z,
-        lambda z: -(z / 3 + z ** 3 / 45 + 2 * z ** 5 / 945 + z ** 7 / 4725 + 2 * z ** 9 / 93555),
-        lambda z: np.cos(z) / np.sin(z) - 1.0 / z)
+# (series below _Z_CUT, direct form) of the radial scalar functions of z
+_COT = (  # cot(z) - 1/z
+    lambda z: -(z / 3 + z ** 3 / 45 + 2 * z ** 5 / 945 + z ** 7 / 4725 + 2 * z ** 9 / 93555),
+    lambda z: np.cos(z) / np.sin(z) - 1.0 / z)
+_COTH = (  # coth(z) - 1/z
+    lambda z: z / 3 - z ** 3 / 45 + 2 * z ** 5 / 945 - z ** 7 / 4725 + 2 * z ** 9 / 93555,
+    lambda z: np.cosh(z) / np.sinh(z) - 1.0 / z)
+_ZSIN2 = (  # (1 - (z/sin z)^2) / z
+    lambda z: -(z / 3 + z ** 3 / 15 + 2 * z ** 5 / 189 + z ** 7 / 675 + 2 * z ** 9 / 10395),
+    lambda z: (1.0 - (z / np.sin(z)) ** 2) / z)
+_ZSINH2 = (  # (1 - (z/sinh z)^2) / z
+    lambda z: z / 3 - z ** 3 / 15 + 2 * z ** 5 / 189 - z ** 7 / 675 + 2 * z ** 9 / 10395,
+    lambda z: (1.0 - (z / np.sinh(z)) ** 2) / z)
 
 
-def _coth_minus_inv(z):
-    z = np.asarray(z, dtype=float)
-    return _by_branch(
-        z < _Z_CUT, z,
-        lambda z: z / 3 - z ** 3 / 45 + 2 * z ** 5 / 945 - z ** 7 / 4725 + 2 * z ** 9 / 93555,
-        lambda z: np.cosh(z) / np.sinh(z) - 1.0 / z)
+def _split(series, direct):
+    """The function that is series(z) below _Z_CUT and direct(z) elsewhere."""
+    return lambda z: _by_branch(z < _Z_CUT, z, series, direct)
 
 
-def _one_minus_zsin2_over_z(z):
-    """(1 - (z/sin z)^2) / z."""
-    z = np.asarray(z, dtype=float)
-    return _by_branch(
-        z < _Z_CUT, z,
-        lambda z: -(z / 3 + z ** 3 / 15 + 2 * z ** 5 / 189 + z ** 7 / 675 + 2 * z ** 9 / 10395),
-        lambda z: (1.0 - (z / np.sin(z)) ** 2) / z)
+def _split_sum(f, g):
+    """f + g with one split for the sum: elementwise the same arithmetic as
+    adding the two split functions."""
+    return _split(lambda z: f[0](z) + g[0](z), lambda z: f[1](z) + g[1](z))
 
 
-def _one_minus_zsinh2_over_z(z):
-    z = np.asarray(z, dtype=float)
-    return _by_branch(
-        z < _Z_CUT, z,
-        lambda z: z / 3 - z ** 3 / 15 + 2 * z ** 5 / 189 - z ** 7 / 675 + 2 * z ** 9 / 10395,
-        lambda z: (1.0 - (z / np.sinh(z)) ** 2) / z)
+# by the sign of K: the f with A(rho) = (d - 1) sqrt|K| f(z) / 2 for the
+# Coriolis drift, and likewise for C(rho) of the Besselization drift
+_CORIOLIS = {1: _split_sum(_COT, _ZSIN2), -1: _split_sum(_COTH, _ZSINH2)}
+_BESSEL = {1: _split(*_ZSIN2), -1: _split(*_ZSINH2)}
 
 
 def _sinc(z):
@@ -317,38 +325,26 @@ class _RadialScalars:
         z = self.k * rho
         return _sinc(z) if self.K > 0 else _sinhc(z)
 
-    def _ratio_over_z(self, fn_s, fn_h, limit_s, limit_h, rho):
+    def _ratio_over_z(self, fns, limit, rho):
+        """f(z)/z at z = sqrt|K| rho for f = fns[sign K], and at z = 0 its
+        limit, given for K > 0 and of opposite sign for K < 0."""
         rho = np.asarray(rho, dtype=float)
         z = self.k * rho
-        if self.K > 0:
-            fn, limit = fn_s, limit_s
-        else:
-            fn, limit = fn_h, limit_h
+        sign = 1 if self.K > 0 else -1
         zs = np.where(z > 0, z, 1.0)
-        return np.where(z > 0, fn(zs) / zs, limit)
+        return np.where(z > 0, fns[sign](zs) / zs, sign * limit)
 
     def coriolis_over_rho(self, rho):
         """A(rho)/rho where the Coriolis drift is a = A(rho) x/rho."""
         if self.K == 0.0:
             return np.zeros_like(np.asarray(rho, dtype=float))
-
-        def fs(z):
-            return _cot_minus_inv(z) + _one_minus_zsin2_over_z(z)
-
-        def fh(z):
-            return _coth_minus_inv(z) + _one_minus_zsinh2_over_z(z)
-
-        val = self._ratio_over_z(fs, fh, -2.0 / 3.0, 2.0 / 3.0, rho)
-        return 0.5 * (self.d - 1) * self.k ** 2 * val
+        return 0.5 * (self.d - 1) * self.k ** 2 * self._ratio_over_z(_CORIOLIS, -2.0 / 3.0, rho)
 
     def bessel_over_rho(self, rho):
         """C(rho)/rho where the Besselization drift is c = C(rho) x/rho."""
         if self.K == 0.0:
             return np.zeros_like(np.asarray(rho, dtype=float))
-        val = self._ratio_over_z(
-            _one_minus_zsin2_over_z, _one_minus_zsinh2_over_z, -1.0 / 3.0, 1.0 / 3.0, rho
-        )
-        return 0.5 * (self.d - 1) * self.k ** 2 * val
+        return 0.5 * (self.d - 1) * self.k ** 2 * self._ratio_over_z(_BESSEL, -1.0 / 3.0, rho)
 
     def curl_scalars(self, rho2):
         """(phi, psi, P) stacked on a leading axis, at squared radius rho2:
@@ -793,7 +789,8 @@ class MetricChart:
     from multiple workers.  Points are arrays of shape (..., d).  Subclasses
     supply ``metric`` and ``curvature_at``; the other evaluators here derive
     everything from ``metric`` numerically (matrix inverse, determinant,
-    eigendecomposition, finite differences).
+    eigendecomposition, finite differences), and ``at`` bundles them per
+    point for a stepper.
     """
 
     is_radial = False
@@ -849,19 +846,28 @@ class MetricChart:
         """Symmetric positive square root of the inverse metric."""
         return _spd_sqrt(self.metric_inv(t, x), t, x)
 
+    def at(self, t, x):
+        """Evaluation at (t, x) for one step: ``sigma_apply(v)``,
+        ``sigma_diag()``, ``coriolis()``, ``bessel_drift()`` and ``G()``,
+        sharing what they have in common (here sigma, formed once)."""
+        return _NumericPoint(self, t, x)
+
+    # The evaluators below name ``_NumericPoint`` rather than ``self.at``, so
+    # that they stay the numerical reference on every chart class.
+
     def sigma_apply(self, t, x, v):
         """sigma(t,x) @ v."""
-        return np.einsum("...ij,...j->...i", self.sigma(t, x), v)
+        return _NumericPoint(self, t, x).sigma_apply(v)
 
     def sigma_diag(self, t, x):
         """Diagonal entries of sigma (used by the diagonal Milstein scheme)."""
-        return np.diagonal(self.sigma(t, x), axis1=-2, axis2=-1)
+        return _NumericPoint(self, t, x).sigma_diag()
 
     # -- drifts ---------------------------------------------------------------
 
     def coriolis(self, t, x):
         """Coriolis drift a(t,x); vanishes on the curve."""
-        return self._coriolis_fd(t, np.asarray(x, dtype=float))
+        return _NumericPoint(self, t, x).coriolis()
 
     def _coriolis_fd(self, t, x, h=None):
         h = h or 1e-3 * self.tube_radius
@@ -883,12 +889,7 @@ class MetricChart:
 
     def bessel_drift(self, t, x):
         """Besselization drift c(t,x), parallel to x by construction."""
-        x = np.asarray(x, dtype=float)
-        rho = np.linalg.norm(x, axis=-1)
-        safe = np.where(rho > 1e-12, rho, 1.0)
-        tr = np.trace(self.metric_inv(t, x), axis1=-2, axis2=-1)
-        amp = np.where(rho > 1e-12, (self.d - tr) / (2 * safe ** 2), 0.0)
-        return amp[..., None] * x
+        return _NumericPoint(self, t, x).bessel_drift()
 
     # -- debugging dump -------------------------------------------------------
 
@@ -922,11 +923,96 @@ def _spd_sqrt(mats, t, x):
     return np.einsum("...ik,...k,...jk->...ij", vecs, root, vecs)
 
 
+class _Point:
+    """A chart evaluated at a batch of points x of shape (..., d), for one
+    step: rho = |x| at once, u = x/rho (0 at the origin) when first used."""
+
+    def __init__(self, x):
+        self.x = np.asarray(x, dtype=float)
+        self.rho = np.linalg.norm(self.x, axis=-1)
+
+    @cached_property
+    def u(self):
+        safe = np.where(self.rho > 0, self.rho, 1.0)
+        return np.where((self.rho > 0)[..., None], self.x / safe[..., None], 0.0)
+
+
+class _NumericPoint(_Point):
+    """``MetricChart.at``: sigma formed once from the metric and applied by
+    einsum, the drifts from the chart's numerical evaluators, and
+    G = tr((sigma - I)^2) / rho^4."""
+
+    def __init__(self, chart, t, x):
+        super().__init__(x)
+        self._chart = chart
+        self._t = t
+
+    @cached_property
+    def sigma(self):
+        return self._chart.sigma(self._t, self.x)
+
+    def sigma_apply(self, v):
+        return np.einsum("...ij,...j->...i", self.sigma, v)
+
+    def sigma_diag(self):
+        return np.diagonal(self.sigma, axis1=-2, axis2=-1)
+
+    def coriolis(self):
+        return self._chart._coriolis_fd(self._t, self.x)
+
+    def bessel_drift(self):
+        rho = self.rho
+        safe = np.where(rho > 1e-12, rho, 1.0)
+        tr = np.trace(self._chart.metric_inv(self._t, self.x), axis1=-2, axis2=-1)
+        amp = np.where(rho > 1e-12, (self._chart.d - tr) / (2 * safe ** 2), 0.0)
+        return amp[..., None] * self.x
+
+    def G(self):
+        dev = self.sigma - np.eye(self._chart.d)
+        return np.einsum("...ij,...ji->...", dev, dev) / self.rho ** 4
+
+
+class _RadialPoint(_Point):
+    """``RadialChart.at``: rho, u and 1/tl(rho) once, and the closed forms
+    sigma v = v/tl + (1 - 1/tl)(u.v) u, a = (A/rho) x, c = (C/rho) x and
+    G = tr((sigma - I)^2) / rho^4 = (d - 1)(1/tl - 1)^2 / rho^4."""
+
+    def __init__(self, scalars, x):
+        super().__init__(x)
+        self._scalars = scalars
+
+    @cached_property
+    def tl(self):
+        return self._scalars.tl(self.rho)
+
+    @cached_property
+    def ti(self):
+        return 1.0 / self.tl
+
+    def sigma_apply(self, v):
+        uv = np.einsum("...i,...i->...", self.u, v)
+        return self.ti[..., None] * v + ((1.0 - self.ti) * uv)[..., None] * self.u
+
+    def sigma_diag(self):
+        return self.ti[..., None] + (1.0 - self.ti)[..., None] * self.u * self.u
+
+    def coriolis(self):
+        return self._scalars.coriolis_over_rho(self.rho)[..., None] * self.x
+
+    def bessel_drift(self):
+        return self._scalars.bessel_over_rho(self.rho)[..., None] * self.x
+
+    def G(self):
+        return (self._scalars.d - 1) * (self.ti - 1.0) ** 2 / self.rho ** 4
+
+
 class RadialChart(MetricChart):
     """Closed-form chart of a constant-curvature model.
 
     The chart metric is the same at every time, because the model spaces are
     homogeneous: g = u u^T + tl(rho)^2 (I - u u^T), and a and c are radial.
+    ``at`` computes rho, u and 1/tl once and holds each radial formula; the
+    evaluators here are thin wrappers over it.
     """
 
     is_radial = True
@@ -935,21 +1021,15 @@ class RadialChart(MetricChart):
         super().__init__(model, curve, tube_radius, vframe)
         self._scalars = _RadialScalars(model.curv, model.dim)
 
-    def _radial_parts(self, x):
-        x = np.asarray(x, dtype=float)
-        rho = np.linalg.norm(x, axis=-1)
-        safe = np.where(rho > 0, rho, 1.0)
-        u = x / safe[..., None]
-        u = np.where((rho > 0)[..., None], u, 0.0)
-        return rho, u
+    def at(self, t, x):
+        return _RadialPoint(self._scalars, x)
 
     def _radial_matrix(self, x, power):
         """u u^T + tl^power (I - u u^T): g for power 2, g^-1 for -2.0, sigma for -1."""
-        rho, u = self._radial_parts(x)
-        tl = self._scalars.tl(rho)
+        p = self.at(None, x)
         # a numpy float64 scalar ** -1 may round differently from 1 / tl
-        m = 1.0 / tl if power == -1 else tl ** power
-        uu = u[..., :, None] * u[..., None, :]
+        m = p.ti if power == -1 else p.tl ** power
+        uu = p.u[..., :, None] * p.u[..., None, :]
         return uu + m[..., None, None] * (np.eye(self.d) - uu)
 
     def metric(self, t, x):
@@ -962,30 +1042,20 @@ class RadialChart(MetricChart):
         return self._radial_matrix(x, -1)
 
     def sqrt_det(self, t, x):
-        rho, _ = self._radial_parts(x)
-        return self._scalars.tl(rho) ** (self.d - 1)
+        return self.at(t, x).tl ** (self.d - 1)
 
     def sigma_apply(self, t, x, v):
         """sigma(t,x) @ v without forming matrices."""
-        rho, u = self._radial_parts(x)
-        ti = 1.0 / self._scalars.tl(rho)
-        uv = np.einsum("...i,...i->...", u, v)
-        return ti[..., None] * v + ((1.0 - ti) * uv)[..., None] * u
+        return self.at(t, x).sigma_apply(v)
 
     def sigma_diag(self, t, x):
-        rho, u = self._radial_parts(x)
-        ti = 1.0 / self._scalars.tl(rho)
-        return ti[..., None] + (1.0 - ti)[..., None] * u * u
+        return self.at(t, x).sigma_diag()
 
     def coriolis(self, t, x):
-        x = np.asarray(x, dtype=float)
-        amp = self._scalars.coriolis_over_rho(np.linalg.norm(x, axis=-1))
-        return amp[..., None] * x
+        return self.at(t, x).coriolis()
 
     def bessel_drift(self, t, x):
-        x = np.asarray(x, dtype=float)
-        amp = self._scalars.bessel_over_rho(np.linalg.norm(x, axis=-1))
-        return amp[..., None] * x
+        return self.at(t, x).bessel_drift()
 
     def curvature_at(self, t):
         return _constant_curvature_data(self.model.curv, self.d, t)

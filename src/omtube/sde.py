@@ -162,7 +162,8 @@ def _make_stepper(kind, chart, drift_field, cfg):
 
     if kind == "y":
         def step(t, y, dB):
-            out = y + chart.sigma_apply(t, y, dB) + chart.bessel_drift(t, y) * cfg.dt
+            at = chart.at(t, y)
+            out = y + at.sigma_apply(dB) + at.bessel_drift() * cfg.dt
             if milstein:
                 out = out + milstein_term(t, y, dB)
             return out
@@ -170,10 +171,11 @@ def _make_stepper(kind, chart, drift_field, cfg):
 
     if kind == "x":
         def step(t, y, dB):
-            drift = chart.coriolis(t, y) - chart.velocity_frame(t)
+            at = chart.at(t, y)
+            drift = at.coriolis() - chart.velocity_frame(t)
             if drift_field is not None:
                 drift = drift + drift_field(t, y)
-            out = y + chart.sigma_apply(t, y, dB) + drift * cfg.dt
+            out = y + at.sigma_apply(dB) + drift * cfg.dt
             if milstein:
                 out = out + milstein_term(t, y, dB)
             return out

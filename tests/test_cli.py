@@ -54,6 +54,14 @@ def test_invalid_config_exit_code(capsys, tmp_path):
         assert run_cli(["ratio", "--paths", "1000", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
+    # non-finite values, which pass the positivity checks
+    for argv, name in [(["moment", "--c", "nan"], "c"), (["moment", "--c", "inf"], "c"),
+                       (["ratio", "--tube-radius", "nan"], "tube_radius"),
+                       (["ratio", "--T", "inf"], "T"), (["ratio", "--dt", "nan"], "dt"),
+                       (["ratio", "--delta", "0.2,nan"], "delta")]:
+        assert run_cli([*argv, "--paths", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}: must be finite"), err
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from omtube import geometry as geo, om, sde
+from omtube import coupling as cp, geometry as geo, om, sde
 from omtube.errors import ChartDomainError, ConstructionError
 
 from conftest import fit_slope
@@ -101,6 +101,53 @@ def test_single_path_on_grid_chart(warped3_chart):
         assert np.array_equal(one, fn(0.0, x)[0])
     p = sde.simulate_X(grid, field, sde.IntegratorConfig(dt=1e-4, T=5e-4, seed=2))
     assert p.states.shape == (6, 3) and p.increments.shape == (5, 3)
+
+
+def _moving_sphere2_chart(request):
+    model = geo.sphere(2, 1.0)
+    return geo.fermi_chart(model, geo.great_circle_curve(model, 1.0, 0.5), 0.6)
+
+
+_STEP_CHARTS = {
+    "S2": _moving_sphere2_chart,  # a moving curve, so that gamma_dot enters the X drift
+    "S3": lambda request: request.getfixturevalue("sphere3_chart"),
+    "H3": lambda request: request.getfixturevalue("hyperbolic3_chart"),
+    "E2": lambda request: request.getfixturevalue("euclid2_chart"),
+    "grid": lambda request: geo.PrecomputedChart(request.getfixturevalue("warped3_chart"),
+                                                 n_nodes=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STEP_CHARTS))
+def test_steps_equal_evaluator_composition(name, request):
+    # the steppers evaluate the chart once per step, through ``chart.at``;
+    # each step is bit for bit the one composed from the public evaluators
+    chart = _STEP_CHARTS[name](request)
+    d = chart.d
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((12, d))
+    x *= (np.geomspace(0.03, 0.8, 12) * chart.tube_radius / np.linalg.norm(x, axis=1))[:, None]
+    if chart.is_radial and chart.model.curv != 0.0:
+        # both branches of the radial scalars run
+        z = math.sqrt(abs(chart.model.curv)) * np.linalg.norm(x, axis=1)
+        assert (z < geo._Z_CUT).any() and (z >= geo._Z_CUT).any()
+    dB = 0.03 * rng.standard_normal(x.shape)
+    t, dt = 0.2, 1e-3
+    field = om.rotational_field(1.0) if d == 2 else om.linear_field(0.5, d=d)
+    cfg = sde.IntegratorConfig(dt=dt)
+    sig = chart.sigma_apply(t, x, dB)
+    drift = chart.coriolis(t, x) - chart.velocity_frame(t) + field(t, x)
+    assert np.array_equal(sde._make_stepper("x", chart, field, cfg)(t, x, dB),
+                          x + sig + drift * dt)
+    assert np.array_equal(sde._make_stepper("y", chart, None, cfg)(t, x, dB),
+                          x + sig + chart.bessel_drift(t, x) * dt)
+    # the coupled pair's Y, driven through the J maps at U = x/|x|
+    j = cp.build_J(d)
+    dW = 0.03 * rng.standard_normal((x.shape[0], j.n))
+    dB = j.apply(x / np.linalg.norm(x, axis=1, keepdims=True), dW)
+    out = cp._step_batch(chart, j, t, x, x[::-1], dW, dt, None)
+    assert np.array_equal(out["Y"], x + chart.sigma_apply(t, x, dB)
+                          + chart.bessel_drift(t, x) * dt)
 
 
 def test_path_sample_invariants(euclid2_chart):

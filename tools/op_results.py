@@ -5,15 +5,20 @@
 SRC is the ``src`` directory of the checkout to import ``omtube`` from.
 Each workload of this checkout's ``perfbench/workloads.py`` runs one op at
 the harness's tiny sizes with seed 1 and one worker, so two trees run the
-same ops.  The output is one sorted JSON line
-holding ``cli.SCHEMA`` and the results, so two trees can be compared
+same ops.  Two runs that no workload covers come with them: the results of
+``omtube couple`` on S2 with the rotational field, and the states of five
+single paths of ``sde.simulate_X`` there.  The output is one sorted JSON
+line holding ``cli.SCHEMA`` and the results, so two trees can be compared
 textually: outputs that are meant to stay fixed are equal, or the schema
 differs.
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 # the tiny sizes of perfbench/tests/test_harness.py: enough survivors for
@@ -33,7 +38,34 @@ def main(src):
     for name, wl in WORKLOADS.items():
         cfg = wl.make_config(1, **TINY[name])
         results[name], _ = wl.run(wl.setup(cfg), cfg)
+    results["couple-s2-rot"] = couple_s2_rot(cli)
+    results["paths-x-s2-rot"] = paths_x_s2_rot()
     print(json.dumps({"schema": cli.SCHEMA, "results": results}, sort_keys=True))
+
+
+def couple_s2_rot(cli):
+    """The result object of ``omtube couple`` on S2 with the rotational field."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "couple.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["couple", "--model", "sphere", "--curve", "circle:1.0",
+                             "--field", "rotational", "--T", "0.05", "--delta", "0.25,0.3",
+                             "--paths", "1024", "--seed", "1", "--out", str(out)])
+        return {"code": code, "results": json.loads(out.read_text())["results"]}
+
+
+def paths_x_s2_rot():
+    """States and exits of five single X paths on S2 with the rotational field."""
+    from omtube import geometry, om, sde
+
+    model = geometry.sphere(2, 1.0)
+    chart = geometry.fermi_chart(model, geometry.great_circle_curve(model, 1.0, 0.05), 0.75)
+    paths = []
+    for i in range(5):
+        p = sde.simulate_X(chart, om.rotational_field(1.0), sde.IntegratorConfig(
+            dt=0.05 / 28, T=0.05, delta=0.3, bridge_correction=True, seed=1, path_index=i))
+        paths.append({"states": p.states.tolist(), "exit_time": p.exit_time})
+    return paths
 
 
 if __name__ == "__main__":
