@@ -83,18 +83,15 @@ def resolve_config(raw):
         cfg[key] = float(cfg[key])
     cfg["bridge"] = _parse_bool(cfg["bridge"])
     cfg["delta"] = _parse_delta(cfg["delta"])
-    floats = [(key, cfg[key]) for key in ("radius", "curvature_scale", "T", "c", "dt",
-                                          "tube_radius")]
-    for key, v in floats + [("delta", dv) for dv in cfg["delta"]]:
-        if v is not None and not math.isfinite(float(v)):
+    # every numeric field must be finite; all but c must also be positive
+    numeric = [(key, cfg.get(key)) for key in _NUMERIC_POSITIVE + ("c",)]
+    for key, v in numeric + [("delta", dv) for dv in cfg["delta"]]:
+        if v is None:
+            continue
+        if not math.isfinite(float(v)):
             raise ValueError(f"{key}: must be finite, got {v}")
-    for key in _NUMERIC_POSITIVE:
-        v = cfg.get(key)
-        if v is not None and float(v) <= 0:
+        if key != "c" and float(v) <= 0:
             raise ValueError(f"{key}: must be positive, got {v}")
-    for dv in cfg["delta"]:
-        if dv <= 0:
-            raise ValueError(f"delta: must be positive, got {dv}")
     if cfg["model"] not in ("euclidean", "sphere", "hyperbolic", "warped"):
         raise ValueError(f"model: unknown kind {cfg['model']!r}")
     if cfg["scheme"] not in sde.SCHEMES:

@@ -31,12 +31,12 @@ Besselization drift); each subclass supplies ``metric`` and ``curvature_at``:
 
 Per-point evaluation.  ``chart.at(t, x)`` evaluates a chart at a batch of
 points once per step of the steppers in :mod:`omtube.sde` and
-:mod:`omtube.coupling`: ``sigma_apply(v)``, ``sigma_diag()``, ``coriolis()``,
-``bessel_drift()`` and ``G()`` = tr((sigma - I)^2) / |x|^4.  A
+:mod:`omtube.coupling`: ``sigma_apply(v)``, ``coriolis()``, ``bessel_drift()``
+and ``G()`` = tr((sigma - I)^2) / |x|^4.  A
 ``RadialChart`` point computes rho = |x|, u = x/rho and 1/tl(rho) once and
 holds every radial formula, G in closed form, and the chart's evaluators
 wrap it; on the other charts the point forms the sigma matrix once and
-takes the drifts from the numerical evaluators.
+takes the drifts from the ``MetricChart`` evaluators.
 
 Conventions.  ``metric`` is the matrix (g_ij) defining lengths,
 ``metric_inv`` = (g^ij) is the diffusion coefficient, and
@@ -848,26 +848,23 @@ class MetricChart:
 
     def at(self, t, x):
         """Evaluation at (t, x) for one step: ``sigma_apply(v)``,
-        ``sigma_diag()``, ``coriolis()``, ``bessel_drift()`` and ``G()``,
-        sharing what they have in common (here sigma, formed once)."""
+        ``coriolis()``, ``bessel_drift()`` and ``G()``, sharing what they
+        have in common (here sigma, formed once)."""
         return _NumericPoint(self, t, x)
-
-    # The evaluators below name ``_NumericPoint`` rather than ``self.at``, so
-    # that they stay the numerical reference on every chart class.
 
     def sigma_apply(self, t, x, v):
         """sigma(t,x) @ v."""
-        return _NumericPoint(self, t, x).sigma_apply(v)
+        return np.einsum("...ij,...j->...i", self.sigma(t, x), v)
 
     def sigma_diag(self, t, x):
         """Diagonal entries of sigma (used by the diagonal Milstein scheme)."""
-        return _NumericPoint(self, t, x).sigma_diag()
+        return np.diagonal(self.sigma(t, x), axis1=-2, axis2=-1)
 
     # -- drifts ---------------------------------------------------------------
 
     def coriolis(self, t, x):
         """Coriolis drift a(t,x); vanishes on the curve."""
-        return _NumericPoint(self, t, x).coriolis()
+        return self._coriolis_fd(t, np.asarray(x, dtype=float))
 
     def _coriolis_fd(self, t, x, h=None):
         h = h or 1e-3 * self.tube_radius
@@ -889,7 +886,12 @@ class MetricChart:
 
     def bessel_drift(self, t, x):
         """Besselization drift c(t,x), parallel to x by construction."""
-        return _NumericPoint(self, t, x).bessel_drift()
+        x = np.asarray(x, dtype=float)
+        rho = np.linalg.norm(x, axis=-1)
+        safe = np.where(rho > 1e-12, rho, 1.0)
+        tr = np.trace(self.metric_inv(t, x), axis1=-2, axis2=-1)
+        amp = np.where(rho > 1e-12, (self.d - tr) / (2 * safe ** 2), 0.0)
+        return amp[..., None] * x
 
     # -- debugging dump -------------------------------------------------------
 
@@ -954,18 +956,11 @@ class _NumericPoint(_Point):
     def sigma_apply(self, v):
         return np.einsum("...ij,...j->...i", self.sigma, v)
 
-    def sigma_diag(self):
-        return np.diagonal(self.sigma, axis1=-2, axis2=-1)
-
     def coriolis(self):
-        return self._chart._coriolis_fd(self._t, self.x)
+        return MetricChart.coriolis(self._chart, self._t, self.x)
 
     def bessel_drift(self):
-        rho = self.rho
-        safe = np.where(rho > 1e-12, rho, 1.0)
-        tr = np.trace(self._chart.metric_inv(self._t, self.x), axis1=-2, axis2=-1)
-        amp = np.where(rho > 1e-12, (self._chart.d - tr) / (2 * safe ** 2), 0.0)
-        return amp[..., None] * self.x
+        return MetricChart.bessel_drift(self._chart, self._t, self.x)
 
     def G(self):
         dev = self.sigma - np.eye(self._chart.d)
@@ -992,9 +987,6 @@ class _RadialPoint(_Point):
     def sigma_apply(self, v):
         uv = np.einsum("...i,...i->...", self.u, v)
         return self.ti[..., None] * v + ((1.0 - self.ti) * uv)[..., None] * self.u
-
-    def sigma_diag(self):
-        return self.ti[..., None] + (1.0 - self.ti)[..., None] * self.u * self.u
 
     def coriolis(self):
         return self._scalars.coriolis_over_rho(self.rho)[..., None] * self.x
@@ -1049,7 +1041,8 @@ class RadialChart(MetricChart):
         return self.at(t, x).sigma_apply(v)
 
     def sigma_diag(self, t, x):
-        return self.at(t, x).sigma_diag()
+        p = self.at(t, x)
+        return p.ti[..., None] + (1.0 - p.ti)[..., None] * p.u * p.u
 
     def coriolis(self, t, x):
         return self.at(t, x).coriolis()

@@ -1,9 +1,8 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from omtube import coupling as cp, geometry as geo, om, sde
 from omtube.errors import InsufficientSamplesError
@@ -95,41 +94,33 @@ def test_sigma_minus_identity_kills_radial(sphere2_chart):
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-# the charts of the conftest fixtures, built here for the property test to draw
-_H_G_CHARTS = {name: geo.fermi_chart(model, geo.constant_curve(T=0.5), 0.6)
-               for name, model in (("S2", geo.sphere(2, 1.0)), ("S3", geo.sphere(3, 1.0)),
-                                   ("H3", geo.hyperbolic(3, 1.0)))}
-
-
-@st.composite
-def _h_g_cases(draw):
-    """A chart, a radius R of 1e-3 to 0.95 tube radii, and unit vectors U, Ut."""
-    chart = _H_G_CHARTS[draw(st.sampled_from(sorted(_H_G_CHARTS)))]
-    vec = st.lists(st.floats(-1.0, 1.0), min_size=chart.d, max_size=chart.d).map(
-        np.array).filter(lambda v: np.linalg.norm(v) > 1e-3)
-    U, Ut = draw(vec), draw(vec)
-    R = draw(st.floats(1e-3, 0.95)) * chart.tube_radius
-    return chart, R, U / np.linalg.norm(U), Ut / np.linalg.norm(Ut)
-
-
 def _mp_G(chart, x):
-    """(d - 1)(1/tl - 1)^2 / |x|^4 in 50-digit arithmetic."""
+    """(d - 1)(1/tl - 1)^2 / |x|^4 and 1/tl at |x|, in 50-digit arithmetic."""
+    import mpmath
     with mpmath.workdps(50):
         r = mpmath.sqrt(mpmath.fsum(mpmath.mpf(float(c)) ** 2 for c in x))
         z = mpmath.sqrt(abs(chart.model.curv)) * r
-        tl = (mpmath.sin(z) if chart.model.curv > 0 else mpmath.sinh(z)) / z
-        return float((chart.d - 1) * (1 / tl - 1) ** 2 / r ** 4)
+        ti = z / (mpmath.sin(z) if chart.model.curv > 0 else mpmath.sinh(z))
+        return float((chart.d - 1) * (ti - 1) ** 2 / r ** 4), float(ti)
 
 
-@given(_h_g_cases())
-def test_H_squared_le_G(case):
-    chart, R, U, Ut = case
+@settings(max_examples=400)
+@given(st.data())
+def test_H_squared_le_G(request, data):
+    # a chart, a radius R of 1e-3 to 0.95 tube radii, and unit vectors U, Ut
+    chart = request.getfixturevalue(data.draw(st.sampled_from(
+        ["sphere2_chart", "sphere3_chart", "hyperbolic3_chart"])))
+    vec = st.lists(st.floats(-1.0, 1.0), min_size=chart.d, max_size=chart.d).map(
+        np.array).filter(lambda v: np.linalg.norm(v) > 1e-3)
+    U, Ut = data.draw(vec), data.draw(vec)
+    U, Ut = U / np.linalg.norm(U), Ut / np.linalg.norm(Ut)
+    R = data.draw(st.floats(1e-3, 0.95)) * chart.tube_radius
     x = R * U
     H = cp.H_of(chart, 0.0, np.array(R), U, Ut)
     G = cp.G_of(chart, 0.0, np.array(R), U)
+    ref, ti = _mp_G(chart, x)
     # 1/tl - 1 cancels: rounding 1/tl and (sigma - I) v costs a relative
     # error of a few eps (1/tl) / |1/tl - 1| in H and G
-    ti = float(chart.at(0.0, x).ti)
     lost = np.finfo(float).eps * ti / abs(ti - 1.0)
     assert H * H <= G * (1 + 4 * lost)
     # G is tr((sigma - I)^2) / R^4 of the sigma matrix ...
@@ -139,7 +130,6 @@ def test_H_squared_le_G(case):
         assert abs(G - G_matrix) <= 1e-11 * G_matrix
     # ... and 50 digits see only the rounding of 1/tl, which the matrix form
     # carries as well (over 1,800 points: at most 2.3 lost here, 3.0 there)
-    ref = _mp_G(chart, x)
     assert abs(G - ref) <= 4 * lost * ref
 
 
