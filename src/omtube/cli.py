@@ -83,6 +83,10 @@ def resolve_config(raw):
         cfg[key] = float(cfg[key])
     cfg["bridge"] = _parse_bool(cfg["bridge"])
     cfg["delta"] = _parse_delta(cfg["delta"])
+    if not 0 <= cfg["seed"] < 2 ** 64:
+        raise ValueError(f"seed: must lie in [0, 2**64), got {cfg['seed']}")
+    if not cfg["delta"]:
+        raise ValueError("delta: needs at least one value")
     # every numeric field must be finite; all but c must also be positive
     numeric = [(key, cfg.get(key)) for key in _NUMERIC_POSITIVE + ("c",)]
     for key, v in numeric + [("delta", dv) for dv in cfg["delta"]]:

@@ -34,8 +34,6 @@ __all__ = [
     "levy_area_update",
     "H_of",
     "G_of",
-    "omega_matrix",
-    "inner_product_sde_step",
     "CoupledEnsemble",
     "RECORDS",
     "simulate_coupled_ensemble",
@@ -43,7 +41,6 @@ __all__ = [
     "delta_tail_estimate",
     "stokes_consistency",
     "DIAGNOSTICS_HEADER",
-    "write_diagnostics_csv",
 ]
 
 
@@ -112,24 +109,6 @@ def G_of(chart, t, R, U):
     """G = tr((sigma(t, y) - I)^2) / |y|^4 at y = R U (batched); on radial
     charts the closed form (d - 1)(1/tl(|y|) - 1)^2 / |y|^4."""
     return chart.at(t, np.asarray(R, dtype=float)[..., None] * U).G()
-
-
-def omega_matrix(U, U_tilde):
-    """omega = U (x) Ut - Ut (x) U + <U, Ut> I, satisfying omega Ut = U."""
-    U = np.asarray(U, dtype=float)
-    U_tilde = np.asarray(U_tilde, dtype=float)
-    c = np.einsum("...i,...i->...", U, U_tilde)
-    eye = np.eye(U.shape[-1])
-    return (U[..., :, None] * U_tilde[..., None, :]
-            - U_tilde[..., :, None] * U[..., None, :]
-            + c[..., None, None] * eye)
-
-
-def inner_product_sde_step(chart, t, R, U, U_tilde, uu, dW1, dt):
-    """One Euler step of d<U,Ut> = R H dW1 - (1/2) R^2 G <U,Ut> dt."""
-    H = H_of(chart, t, R, U, U_tilde)
-    G = G_of(chart, t, R, U)
-    return R * H * dW1 - 0.5 * R ** 2 * G * uu * dt
 
 
 def levy_area_update(A, y_old, y_new):
@@ -317,9 +296,6 @@ class CoupledEnsemble:
     @property
     def n_survive(self):
         return int(np.count_nonzero(self.survived))
-
-    def martingale_Mp(self, p):
-        return martingale_Mp(self, p)
 
     @classmethod
     def concat(cls, parts):
@@ -521,12 +497,3 @@ DIAGNOSTICS_HEADER = ("delta", "dt", "paths", "survivors", "radial_gap_max",
                       "orthogonality_stat", "h2_le_g_violations",
                       "tail_q50", "tail_q90", "tail_q99")
 
-
-def write_diagnostics_csv(fh, rows):
-    """Diagnostic CSV: one row per ensemble cell."""
-    import csv
-
-    writer = csv.writer(fh)
-    writer.writerow(DIAGNOSTICS_HEADER)
-    for r in rows:
-        writer.writerow(r)

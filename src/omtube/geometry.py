@@ -54,7 +54,6 @@ exact Bessel(d) process.
 All chart evaluators accept batched points ``x`` of shape ``(..., d)``.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,11 +84,7 @@ __all__ = [
     "PrecomputedChart",
     "fermi_chart",
     "CurvatureData",
-    "curvature_at",
     "curvature_from_chart_fd",
-    "coriolis_drift",
-    "besselization_drift",
-    "sigma_sqrt",
     "expansion_order_check",
     "divergence_fd",
 ]
@@ -200,16 +195,6 @@ class ManifoldModel:
         if self.kind == "hyperbolic":
             return -1.0 / self.curvature_scale ** 2
         return None
-
-    def describe(self):
-        out = {"kind": self.kind, "dim": self.dim}
-        if self.kind == "sphere":
-            out["radius"] = self.radius
-        elif self.kind == "hyperbolic":
-            out["curvature_scale"] = self.curvature_scale
-        elif self.kind == "warped":
-            out["profile"] = _resolve_profile(self.profile).name
-        return out
 
 
 def euclidean(d):
@@ -401,11 +386,6 @@ class CurveSpec:
     @property
     def grid(self):
         return np.linspace(0.0, self.T, self.n_grid + 1)
-
-    def describe(self):
-        return {"kind": self.kind, "T": self.T, "n_grid": self.n_grid,
-                **{k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                   for k, v in self.params.items() if not callable(v)}}
 
 
 def constant_curve(T, point=None, n_grid=64):
@@ -893,26 +873,6 @@ class MetricChart:
         amp = np.where(rho > 1e-12, (self.d - tr) / (2 * safe ** 2), 0.0)
         return amp[..., None] * x
 
-    # -- debugging dump -------------------------------------------------------
-
-    def dump_json(self, n_x=8, n_t=5, seed=0):
-        """JSON chart dump: model descriptor, grid times, sampled g entries."""
-        rng = np.random.default_rng(seed)
-        ts = np.linspace(0.0, self.curve.T, n_t)
-        samples = []
-        for t in ts:
-            xs = rng.standard_normal((n_x, self.d))
-            xs *= (0.8 * self.tube_radius * rng.random((n_x, 1))
-                   / np.linalg.norm(xs, axis=1, keepdims=True))
-            for x in xs:
-                samples.append({"t": float(t), "x": x.tolist(),
-                                "g": self.metric(t, x).tolist()})
-        return json.dumps({"model": self.model.describe(),
-                           "curve": self.curve.describe(),
-                           "tube_radius": self.tube_radius,
-                           "grid_times": self.curve.grid.tolist(),
-                           "samples": samples})
-
 
 def _spd_sqrt(mats, t, x):
     """Symmetric PSD square root by eigendecomposition, eigenvalues clamped."""
@@ -1135,11 +1095,11 @@ class _GridTable:
     """Cubic B-spline interpolant of a (d, d) field on the cube [-bound, bound]^d.
 
     ``fn`` maps points of shape (m, d) to values of shape (m, d, d) and is
-    sampled once on ``n`` nodes per axis.  ``sign`` is +1 for a symmetric
-    field and -1 for an antisymmetric one, whose zero diagonal is not stored.
+    sampled once on ``n`` nodes per axis.  The field must be symmetric: only
+    the entries with i <= j are stored.
     """
 
-    def __init__(self, fn, bound, n, d, sign):
+    def __init__(self, fn, bound, n, d):
         axes = (np.linspace(-bound, bound, n),) * d
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         values = fn(mesh.reshape(-1, d)).reshape(mesh.shape[:-1] + (d, d))
@@ -1150,10 +1110,8 @@ class _GridTable:
         self.bound = float(bound)
         self.scale = (n - 1) / (2 * self.bound)
         self.d = d
-        self.sign = sign
-        first = 0 if sign > 0 else 1
         self.coeffs = {(i, j): ndimage.spline_filter(values[..., i, j], order=3, mode="mirror")
-                       for i in range(d) for j in range(i + first, d)}
+                       for i in range(d) for j in range(i, d)}
 
     def __call__(self, x):
         from scipy import ndimage
@@ -1165,7 +1123,7 @@ class _GridTable:
             v = ndimage.map_coordinates(coeffs, flat, order=3, prefilter=False,
                                         mode="mirror").reshape(x.shape[:-1])
             out[..., i, j] = v
-            out[..., j, i] = self.sign * v
+            out[..., j, i] = v
         return out
 
 
@@ -1187,7 +1145,7 @@ class PrecomputedChart(MetricChart):
         super().__init__(chart.model, chart.curve, chart.tube_radius, chart._vframe)
         self._base = chart
         self._g = _GridTable(lambda x: chart.metric(0.0, x), chart.tube_radius,
-                             n_nodes, self.d, 1.0)
+                             n_nodes, self.d)
 
     def metric(self, t, x):
         return self._g(x)
@@ -1289,25 +1247,6 @@ def _resolve_vframe(model, curve):
 # ---------------------------------------------------------------------------
 # spec-level operations
 # ---------------------------------------------------------------------------
-
-def coriolis_drift(chart, t, x):
-    chart.check_domain(x)
-    return chart.coriolis(t, x)
-
-
-def besselization_drift(chart, t, x):
-    chart.check_domain(x)
-    return chart.bessel_drift(t, x)
-
-
-def sigma_sqrt(chart, t, x):
-    chart.check_domain(x)
-    return chart.sigma(t, x)
-
-
-def curvature_at(chart, t):
-    return chart.curvature_at(t)
-
 
 def curvature_from_chart_fd(chart, t=0.0, h=None):
     """Curvature at the origin from 4th-order FD Hessians of the chart metric.

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, UnitVectorError
-from .geometry import _GridTable, divergence_fd
+from .geometry import divergence_fd
 
 __all__ = [
     "DriftField",
@@ -63,7 +63,6 @@ __all__ = [
     "alpha_kernel",
     "GirsanovForms",
     "girsanov_forms",
-    "TabulatedForms",
 ]
 
 
@@ -327,12 +326,6 @@ class GirsanovForms:
     chart: object
     field: object
 
-    def b(self, t, x):
-        return self.field(t, np.asarray(x, dtype=float)) - self.chart.velocity_frame(t)
-
-    def alpha(self, t, x):
-        return alpha_form(self.chart, self.field, t, x)
-
     def alpha_ij(self, t, x):
         return alpha_kernel(self.chart, self.field, t, x)
 
@@ -343,26 +336,3 @@ class GirsanovForms:
 def girsanov_forms(chart, field):
     return GirsanovForms(chart=chart, field=field)
 
-
-class TabulatedForms(GirsanovForms):
-    """Measure-change forms with the antisymmetric kernel sampled on a grid.
-
-    Only valid for time-independent configurations (constant curve,
-    autonomous field); used to keep per-step bookkeeping affordable on
-    numerically shot charts.
-    """
-
-    def __init__(self, chart, field, n_nodes=17):
-        if chart.curve.kind != "constant":
-            raise ValueError("tabulated forms need a constant curve")
-        super().__init__(chart=chart, field=field)
-        self._kernel = _GridTable(
-            lambda x: alpha_kernel(chart, field, 0.0, x),
-            chart.tube_radius, n_nodes, chart.d, -1.0)
-        self._curv = chart.curvature_at(0.0)
-
-    def alpha_ij(self, t, x):
-        return self._kernel(x)
-
-    def beta(self, t, u):
-        return beta(self._curv, u)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from omtube import cli
+from omtube import cli, coupling
 
 
 def run_cli(argv):
@@ -62,6 +62,13 @@ def test_invalid_config_exit_code(capsys, tmp_path):
         assert run_cli([*argv, "--paths", "1000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name}: must be finite"), err
+    # seeds outside the Philox key range, and an empty delta list
+    for argv, msg in [(["smallball", "--seed=-1"], "seed: must lie in"),
+                      (["smallball", "--seed", str(2 ** 64)], "seed: must lie in"),
+                      (["ratio", "--delta", ","], "delta: needs at least one value")]:
+        assert run_cli([*argv, "--paths", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {msg}"), err
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +159,7 @@ def test_couple_csv(tmp_path):
                     "--seed", "2", "--csv", str(csvp), "--tube-radius", "0.6"])
     assert code == 0
     rows = csvp.read_text().strip().splitlines()
-    assert rows[0].startswith("delta,dt,paths,survivors,radial_gap_max")
+    assert rows[0] == ",".join(coupling.DIAGNOSTICS_HEADER)
     assert len(rows) == 2
 
 

@@ -145,17 +145,6 @@ def test_G_bounded_on_tube(sphere2_chart):
                        np.array([1.0, 0.0])) - 1.0 / 36.0) < 1e-4
 
 
-def test_omega_identities():
-    rng = np.random.default_rng(7)
-    for d in (2, 3, 5):
-        for _ in range(50):
-            U, Ut = _random_state(rng, d)
-            w = cp.omega_matrix(U, Ut)
-            assert np.max(np.abs(w @ Ut - U)) < 1e-12
-            c = float(U @ Ut)
-            assert np.max(np.abs(w.T + w - 2 * c * np.eye(d))) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Levy areas
 # ---------------------------------------------------------------------------
@@ -261,16 +250,6 @@ def test_coupled_step_matches_ensemble_kernel(sphere2_chart):
                          1e-3, None)
     assert np.array_equal(new.Y, out["Y"][0])
     assert np.array_equal(new.Y_tilde, out["Yt"][0])
-
-
-def test_inner_product_sde_step_flat(euclid2_chart):
-    # sigma = I makes H = G = 0: the predicted increment vanishes
-    rng = np.random.default_rng(3)
-    U = np.array([1.0, 0.0])
-    Ut = np.array([0.0, 1.0])
-    inc = cp.inner_product_sde_step(euclid2_chart, 0.0, np.array(0.2), U, Ut,
-                                    0.0, 0.05, 1e-3)
-    assert inc == 0.0
 
 
 def test_lemma_uu_prediction_converges(sphere2_chart):
@@ -417,13 +396,3 @@ def test_stokes_cubic_field_slope(euclid2_chart):
         resids.append(np.mean(vals))
     slope = fit_slope(dts, resids)
     assert 0.7 < slope < 1.3
-
-
-def test_diagnostics_csv(tmp_path):
-    rows = [[0.2, 1e-4, 1000, 37, 1.5e-4, 0.8, 0, 0.1, 0.2, 0.3]]
-    out = tmp_path / "diag.csv"
-    with open(out, "w", newline="") as fh:
-        cp.write_diagnostics_csv(fh, rows)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("delta,dt,paths,survivors,radial_gap_max")
-    assert len(lines) == 2

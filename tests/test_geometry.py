@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -377,16 +376,6 @@ def test_fermi_chart_rejects_unknown_method():
 def test_domain_check(sphere2_chart):
     with pytest.raises(ChartDomainError):
         sphere2_chart.check_domain(np.array([1.0, 1.0]))
-
-
-def test_chart_dump_json(sphere2_chart):
-    doc = json.loads(sphere2_chart.dump_json(n_x=3, n_t=2))
-    assert doc["model"]["kind"] == "sphere"
-    assert len(doc["grid_times"]) == sphere2_chart.curve.n_grid + 1
-    s = doc["samples"][0]
-    g = np.array(s["g"])
-    assert g.shape == (2, 2)
-    assert np.allclose(g, g.T)
 
 
 def test_profile_fd_fallback():
