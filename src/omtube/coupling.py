@@ -111,6 +111,22 @@ def G_of(chart, t, R, U):
     return chart.at(t, np.asarray(R, dtype=float)[..., None] * U).G()
 
 
+def _h2_exceeds_g(H, G, R, d):
+    """The lanes where H^2 <= G fails beyond rounding.
+
+    Both sides carry a rounding error of a few eps (1/tl) / |1/tl - 1|
+    relative, which exceeds 1e-12 at small R when U is perpendicular to Ut.
+    The lanes that fail a 1e-12 relative slack are checked again with that
+    bound, taking |1/tl - 1| = R^2 sqrt(G / (d - 1)) from G itself.
+    """
+    out = H ** 2 > G * (1 + 1e-12) + 1e-30
+    if out.any():
+        Hs, Gs, q = H[out], G[out], R[out] ** 2 * np.sqrt(G[out] / (d - 1))
+        lost = np.finfo(float).eps * (1 + q) / np.maximum(q, np.finfo(float).tiny)
+        out[out] = Hs ** 2 > Gs * (1 + 4 * lost) + 1e-30
+    return out
+
+
 def levy_area_update(A, y_old, y_new):
     """Stratonovich midpoint increment of the area matrix.
 
@@ -370,9 +386,8 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, chunk_range=None)
             res = _step_batch(chart, j, k * dt, Y, s["Yt"], dW, dt, forms, fresh_w1=w1f)
             run = dict(s, Y=res["Y"], Yt=res["Yt"])
             run["w0_identity_dev"] = np.maximum(s["w0_identity_dev"], res["w0_dev"])
-            # H^2 <= G must hold pointwise; count violations with a tiny slack
-            run["h2_le_g_violations"] = s["h2_le_g_violations"] + (
-                res["H"] ** 2 > res["G"] * (1 + 1e-12) + 1e-30)
+            run["h2_le_g_violations"] = s["h2_le_g_violations"] + _h2_exceeds_g(
+                res["H"], res["G"], res["R"], d)
 
             Rn = np.linalg.norm(res["Y"], axis=-1)
             Rtn = np.linalg.norm(res["Yt"], axis=-1)

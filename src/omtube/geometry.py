@@ -35,8 +35,9 @@ points once per step of the steppers in :mod:`omtube.sde` and
 and ``G()`` = tr((sigma - I)^2) / |x|^4.  A
 ``RadialChart`` point computes rho = |x|, u = x/rho and 1/tl(rho) once and
 holds every radial formula, G in closed form, and the chart's evaluators
-wrap it; on the other charts the point forms the sigma matrix once and
-takes the drifts from the ``MetricChart`` evaluators.
+wrap it; on the other charts the point evaluates the metric once per point
+(at x and at each point of the Coriolis stencil) and repeats the
+arithmetic of the ``MetricChart`` evaluators on it.
 
 Conventions.  ``metric`` is the matrix (g_ij) defining lengths,
 ``metric_inv`` = (g^ij) is the diffusion coefficient, and
@@ -538,13 +539,16 @@ class DiagonalAmbient:
         ginv[..., idx, idx] = 1.0 / g[..., idx, idx]
         return ginv
 
-    def grad_w(self, y):
-        """d_j w_k as [..., k, j]."""
+    def _radial(self, y):
+        """w and w' at rho = |y|, and u = y / rho (y itself near the origin)."""
         y = np.asarray(y, dtype=float)
         rho = np.linalg.norm(y, axis=-1)
         safe = np.where(rho > 1e-12, rho, 1.0)
-        u = y / safe[..., None]
-        dw = self._dw(rho)
+        return self._w(rho), self._dw(rho), y / safe[..., None]
+
+    def grad_w(self, y):
+        """d_j w_k as [..., k, j]."""
+        _, dw, u = self._radial(y)
         return dw[..., :, None] * u[..., None, :]
 
     def christoffel(self, y):
@@ -558,6 +562,30 @@ class DiagonalAmbient:
                 + np.einsum("kj,...ki->...kij", eye, dw)
                 - np.einsum("ij,...ik->...kij", eye, dw))
         return 0.5 * term / w[..., :, None, None]
+
+    def geodesic_acc(self, y, v):
+        """-Gamma^k_ij v^i v^j from the non-zero Christoffels alone:
+        Gamma^k_kj = Gamma^k_jk = (0.5 d_j w_k) / w_k and, for i != k,
+        Gamma^k_ii = -(0.5 d_k w_i) / w_k.  Summing (Gamma^k_ij v^i) v^j from
+        +0 in (i, j) order is the einsum of ``christoffel`` with v twice, bit
+        for bit, as a skipped zero would add +-0 to a sum that is never -0.
+        The component axis goes first, so each operation runs over the points.
+        """
+        w, dw, u, v = (np.moveaxis(a, -1, 0).copy() for a in (*self._radial(y), v))
+        half = 0.5 * (dw[:, None] * u[None, :])  # 0.5 d_j w_k as [k, j, ...]
+        own = half / w[:, None]  # Gamma^k_kj as [k, j, ...]
+        ii = -np.swapaxes(half, 0, 1) / w[:, None]  # Gamma^k_ii as [k, i, ...]
+        idx = np.arange(self.d)
+        ii[idx, idx] = own[idx, idx]
+        acc = np.zeros(v.shape)
+        for i in range(self.d):
+            for j in range(self.d):
+                if i == j:
+                    acc += (ii[:, i] * v[i]) * v[i]
+                else:
+                    acc[i] += (own[i, j] * v[i]) * v[j]
+                    acc[j] += (own[j, i] * v[i]) * v[j]
+        return -np.moveaxis(acc, 0, -1)
 
     def dchristoffel(self, y):
         """d_l Gamma^k_ij as [..., l, k, i, j], closed form from w, w', w''."""
@@ -623,6 +651,10 @@ class CallableAmbient:
                - np.einsum("...mij->...mij", dg))
         # tmp[m,i,j] = d_i g_mj + d_j g_mi - d_m g_ij
         return 0.5 * np.einsum("...km,...mij->...kij", ginv, tmp)
+
+    def geodesic_acc(self, y, v):
+        """-Gamma^k_ij v^i v^j from the finite-difference Christoffels."""
+        return -np.einsum("...kij,...i,...j->...k", self.christoffel(y), v, v)
 
     def dchristoffel(self, y):
         y = np.asarray(y, dtype=float)
@@ -874,6 +906,14 @@ class MetricChart:
         return amp[..., None] * x
 
 
+def _sqrt_det(g):
+    """sqrt(det g) of a batch of metric matrices."""
+    det = np.linalg.det(g)
+    if np.any(det <= 0):
+        raise NumericError("non-positive metric determinant")
+    return np.sqrt(det)
+
+
 def _spd_sqrt(mats, t, x):
     """Symmetric PSD square root by eigendecomposition, eigenvalues clamped."""
     vals, vecs = np.linalg.eigh(mats)
@@ -900,9 +940,11 @@ class _Point:
 
 
 class _NumericPoint(_Point):
-    """``MetricChart.at``: sigma formed once from the metric and applied by
-    einsum, the drifts from the chart's numerical evaluators, and
-    G = tr((sigma - I)^2) / rho^4."""
+    """``MetricChart.at``: one metric evaluation per point.  The metric at x
+    gives g^-1 once, which sigma (its square root, applied by einsum) and
+    the Besselization drift share; each point of the Coriolis stencil gives
+    sqrt(det g) g^-1 from its own single metric.  The arithmetic is that of
+    the ``MetricChart`` evaluators, and G = tr((sigma - I)^2) / rho^4."""
 
     def __init__(self, chart, t, x):
         super().__init__(x)
@@ -910,17 +952,43 @@ class _NumericPoint(_Point):
         self._t = t
 
     @cached_property
+    def _g(self):
+        return self._chart.metric(self._t, self.x)
+
+    @cached_property
+    def _g_inv(self):
+        return np.linalg.inv(self._g)
+
+    @cached_property
     def sigma(self):
-        return self._chart.sigma(self._t, self.x)
+        return _spd_sqrt(self._g_inv, self._t, self.x)
 
     def sigma_apply(self, v):
         return np.einsum("...ij,...j->...i", self.sigma, v)
 
     def coriolis(self):
-        return MetricChart.coriolis(self._chart, self._t, self.x)
+        chart, t, x = self._chart, self._t, self.x
+        h = 1e-3 * chart.tube_radius
+        sq = _sqrt_det(self._g)
+
+        def f(p):
+            g = chart.metric(t, p)
+            return _sqrt_det(g)[..., None, None] * np.linalg.inv(g)
+
+        out = np.zeros_like(x)
+        for j in range(chart.d):
+            e = np.zeros(chart.d)
+            e[j] = 1.0
+            der = (f(x - 2 * h * e) - 8 * f(x - h * e)
+                   + 8 * f(x + h * e) - f(x + 2 * h * e)) / (12 * h)
+            out += der[..., :, j]
+        return 0.5 * out / sq[..., None]
 
     def bessel_drift(self):
-        return MetricChart.bessel_drift(self._chart, self._t, self.x)
+        safe = np.where(self.rho > 1e-12, self.rho, 1.0)
+        tr = np.trace(self._g_inv, axis1=-2, axis2=-1)
+        amp = np.where(self.rho > 1e-12, (self._chart.d - tr) / (2 * safe ** 2), 0.0)
+        return amp[..., None] * self.x
 
     def G(self):
         dev = self.sigma - np.eye(self._chart.d)
@@ -1023,11 +1091,12 @@ _SHOT_JAC_H = 5e-3
 class ShotChart(MetricChart):
     """Numerical Fermi chart over an ambient metric.
 
-    Geodesics are integrated with a classical RK4, and the chart metric is
-    the pull-back of the ambient metric through a 4-point finite-difference
-    Jacobian of the exponential map.  ``centers`` maps t to the ambient point
-    gamma(t) and ``frames`` to the (d, d) matrix whose columns are the
-    transported frame vectors there.
+    Geodesics are integrated with a classical RK4 whose acceleration is the
+    ambient's ``geodesic_acc(y, v)`` = -Gamma^k_ij v^i v^j, and the chart
+    metric is the pull-back of the ambient metric through a 4-point
+    finite-difference Jacobian of the exponential map.  ``centers`` maps t
+    to the ambient point gamma(t) and ``frames`` to the (d, d) matrix whose
+    columns are the transported frame vectors there.
     """
 
     def __init__(self, model, curve, tube_radius, vframe, ambient, centers, frames):
@@ -1046,10 +1115,7 @@ class ShotChart(MetricChart):
         speed = float(np.max(np.linalg.norm(X, axis=1), initial=0.0))
         n = max(12, int(math.ceil(speed / _SHOT_MAX_STEP)))
         h = 1.0 / n
-
-        def acc(y, v):
-            gam = self.ambient.christoffel(y)
-            return -np.einsum("mkij,mi,mj->mk", gam, v, v)
+        acc = self.ambient.geodesic_acc
 
         for _ in range(n):
             k1y, k1v = v, acc(y, v)

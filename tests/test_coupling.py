@@ -133,6 +133,21 @@ def test_H_squared_le_G(request, data):
     assert abs(G - ref) <= 4 * lost * ref
 
 
+def test_h2_counter_ignores_rounding_at_small_R(sphere2_chart):
+    # U perpendicular to Ut at R = 0.01 on S2: rounding alone puts H^2 about
+    # 7e-12 above G, beyond the plain 1e-12 slack but within the
+    # roundoff-aware one; a real excess of 1e-9 still counts
+    th = 3 * math.pi / 8
+    U = np.array([[math.cos(th), math.sin(th)]])
+    Ut = np.array([[-math.sin(th), math.cos(th)]])
+    R = np.array([0.01])
+    H = cp.H_of(sphere2_chart, 0.0, R, U, Ut)
+    G = cp.G_of(sphere2_chart, 0.0, R, U)
+    assert H[0] ** 2 > G[0] * (1 + 1e-12) + 1e-30
+    assert not cp._h2_exceeds_g(H, G, R, 2).any()
+    assert cp._h2_exceeds_g(H * (1 + 1e-9), G, R, 2).all()
+
+
 def test_G_bounded_on_tube(sphere2_chart):
     rng = np.random.default_rng(6)
     U = rng.standard_normal((500, 2))

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from omtube import geometry as geo
-from omtube.errors import ChartDomainError, ConstructionError
+from omtube.errors import ChartDomainError, ConstructionError, NumericError
 
-from conftest import fit_slope, random_ball_points
+from conftest import random_ball_points
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +287,59 @@ def test_moving_shot_chart_frame():
         assert np.max(np.abs(ch.metric(t, np.zeros(3)) - np.eye(3))) < 1e-6
         speed = math.sqrt(gamma_dot(t) @ G @ gamma_dot(t))
         assert abs(np.linalg.norm(ch.velocity_frame(t)) - speed) < 1e-6
+
+
+def _ambient_case(d):
+    """(d, y, v): one to four rows of points y and velocities v in R^d."""
+    row = st.lists(st.floats(-1.5, 1.5), min_size=2 * d, max_size=2 * d)
+    return st.lists(row, min_size=1, max_size=4).map(np.array).map(
+        lambda r: (d, r[:, :d], r[:, d:]))
+
+
+@given(profile=st.sampled_from(sorted(geo.PROFILES)),
+       case=st.sampled_from([2, 3, 4]).flatmap(_ambient_case))
+@example(profile="bump_strong", case=(3, np.zeros((1, 3)), np.array([[0.3, -1.0, 0.5]])))
+def test_geodesic_acc_equals_christoffel_einsum(profile, case):
+    # the shooting RK4 takes the sparse form; it must be the dense einsum of
+    # the Christoffel tensor bit for bit, signs of zeros included
+    d, y, v = case
+    amb = geo.DiagonalAmbient(d, np.arange(1, d + 1) / d, geo.PROFILES[profile])
+    want = -np.einsum("...kij,...i,...j->...k", amb.christoffel(y), v, v)
+    got = amb.geodesic_acc(y, v)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_numeric_point_equals_evaluators(warped3_chart, grid):
+    # ``at`` evaluates the metric once per point; its sigma v, a and c are
+    # the ``MetricChart`` evaluators' bit for bit
+    chart = geo.PrecomputedChart(warped3_chart, n_nodes=5) if grid else warped3_chart
+    rng = np.random.default_rng(8)
+    x = random_ball_points(rng, 3, 0.25, 12 if grid else 3)
+    v = rng.standard_normal(x.shape)
+    p = chart.at(0.0, x)
+    M = geo.MetricChart
+    assert np.array_equal(p.sigma_apply(v), np.einsum("...ij,...j->...i", M.sigma(chart, 0.0, x), v))
+    assert np.array_equal(p.coriolis(), M.coriolis(chart, 0.0, x))
+    assert np.array_equal(p.bessel_drift(), M.bessel_drift(chart, 0.0, x))
+
+
+def test_numeric_point_rejects_nonpositive_determinant():
+    # det g = 1 - 10 x_0 is positive at x but not at the Coriolis stencil's
+    # outer point x + 2h e_0 (h = 1e-3 tube radii)
+    class Folded(geo.MetricChart):
+        def metric(self, t, x):
+            g = np.zeros(np.shape(x) + (2,))
+            g[..., 0, 0] = 1.0
+            g[..., 1, 1] = 1.0 - 10.0 * x[..., 0]
+            return g
+
+    chart = Folded(geo.euclidean(2), geo.constant_curve(T=1.0), 1.0, lambda t: None)
+    x = np.array([0.0995, 0.0])
+    assert chart.sqrt_det(0.0, x) > 0
+    with pytest.raises(NumericError, match="non-positive metric determinant"):
+        chart.at(0.0, x).coriolis()
 
 
 def test_precomputed_chart_matches_base(warped3_chart):

@@ -5,12 +5,14 @@
 SRC is the ``src`` directory of the checkout to import ``omtube`` from.
 Each workload of this checkout's ``perfbench/workloads.py`` runs one op at
 the harness's tiny sizes with seed 1 and one worker, so two trees run the
-same ops.  Two runs that no workload covers come with them: the results of
-``omtube couple`` on S2 with the rotational field, and the states of five
-single paths of ``sde.simulate_X`` there.  The output is one sorted JSON
-line holding ``cli.SCHEMA`` and the results, so two trees can be compared
-textually: outputs that are meant to stay fixed are equal, or the schema
-differs.
+same ops.  Three runs that no workload covers come with them: the results
+of ``omtube couple`` on S2 with the rotational field, the states of five
+single paths of ``sde.simulate_X`` there, and the evaluators of the warped
+3-d chart (its grid metric, and the shot chart's sigma v, a and c), whose
+last bits the ``ratio-warped3`` survivor counts do not show.  The output is
+one sorted JSON line holding ``cli.SCHEMA`` and the results, so two trees
+can be compared textually: outputs that are meant to stay fixed are equal,
+or the schema differs.
 """
 
 import contextlib
@@ -40,6 +42,7 @@ def main(src):
         results[name], _ = wl.run(wl.setup(cfg), cfg)
     results["couple-s2-rot"] = couple_s2_rot(cli)
     results["paths-x-s2-rot"] = paths_x_s2_rot()
+    results["warped3-evaluators"] = warped3_evaluators()
     print(json.dumps({"schema": cli.SCHEMA, "results": results}, sort_keys=True))
 
 
@@ -66,6 +69,26 @@ def paths_x_s2_rot():
             dt=0.05 / 28, T=0.05, delta=0.3, bridge_correction=True, seed=1, path_index=i))
         paths.append({"states": p.states.tolist(), "exit_time": p.exit_time})
     return paths
+
+
+def warped3_evaluators():
+    """The metric of a 6-node grid chart of the warped 3-d model at eight
+    points off its nodes, and sigma v, a and c of its shot chart at three."""
+    import numpy as np
+    from omtube import geometry
+
+    chart = geometry.fermi_chart(
+        geometry.warped_diagonal(3, "bump_strong"),
+        geometry.constant_curve(T=0.005, point=[0.35, 0.15, -0.25]), 0.3)
+    pts = np.array([[0.01, -0.03, 0.02], [0.11, 0.07, -0.05], [-0.13, 0.02, 0.09],
+                    [0.04, -0.16, -0.11], [-0.07, -0.09, 0.15], [0.19, -0.04, 0.08],
+                    [-0.02, 0.21, -0.03], [0.09, 0.12, 0.17]])
+    grid = geometry.PrecomputedChart(chart, n_nodes=6).metric(0.0, pts)
+    at = chart.at(0.0, pts[:3])
+    v = np.array([[1.0, -0.5, 0.25], [-0.3, 0.8, 0.6], [0.7, 0.1, -0.9]])
+    return {"grid_metric": grid.tolist(), "shot_sigma_v": at.sigma_apply(v).tolist(),
+            "shot_coriolis": at.coriolis().tolist(),
+            "shot_bessel_drift": at.bessel_drift().tolist()}
 
 
 if __name__ == "__main__":
