@@ -26,8 +26,10 @@ Besselization drift); each subclass supplies ``metric`` and ``curvature_at``:
 * ``RadialChart`` -- closed forms for every evaluator (constant curvature).
 * ``ShotChart`` -- the metric by geodesic shooting in an ambient metric, the
   curvature from its Christoffel symbols (warped models, or method="shoot").
-* ``PrecomputedChart`` -- the metric of a time-independent shot chart,
-  sampled on a cube grid and interpolated by cubic B-splines.
+* ``PrecomputedChart`` -- a time-independent shot chart sampled once on a
+  cube grid: the metric g, sigma and the Coriolis drift a are tabulated
+  from those node values (a by 4th-order differences on the node grid)
+  and interpolated by cubic B-splines.
 
 Per-point evaluation.  ``chart.at(t, x)`` evaluates a chart at a batch of
 points once per step of the steppers in :mod:`omtube.sde` and
@@ -35,9 +37,11 @@ points once per step of the steppers in :mod:`omtube.sde` and
 and ``G()`` = tr((sigma - I)^2) / |x|^4.  A
 ``RadialChart`` point computes rho = |x|, u = x/rho and 1/tl(rho) once and
 holds every radial formula, G in closed form, and the chart's evaluators
-wrap it; on the other charts the point evaluates the metric once per point
-(at x and at each point of the Coriolis stencil) and repeats the
-arithmetic of the ``MetricChart`` evaluators on it.
+wrap it.  A ``PrecomputedChart`` point looks sigma up once and a in one
+lookup, takes c from that sigma (tr g^-1 = sum_ij sigma_ij^2), and the
+chart's evaluators wrap it too.  On a ``ShotChart`` the point evaluates
+the metric once per point (at x and at each point of the Coriolis stencil)
+and repeats the arithmetic of the ``MetricChart`` evaluators on it.
 
 Conventions.  ``metric`` is the matrix (g_ij) defining lengths,
 ``metric_inv`` = (g^ij) is the diffusion coefficient, and
@@ -532,13 +536,6 @@ class DiagonalAmbient:
         g[..., idx, idx] = w
         return g
 
-    def metric_inv(self, y):
-        g = self.metric(y)
-        ginv = np.zeros_like(g)
-        idx = np.arange(self.d)
-        ginv[..., idx, idx] = 1.0 / g[..., idx, idx]
-        return ginv
-
     def _radial(self, y):
         """w and w' at rho = |y|, and u = y / rho (y itself near the origin)."""
         y = np.asarray(y, dtype=float)
@@ -939,16 +936,38 @@ class _Point:
         return np.where((self.rho > 0)[..., None], self.x / safe[..., None], 0.0)
 
 
-class _NumericPoint(_Point):
-    """``MetricChart.at``: one metric evaluation per point.  The metric at x
-    gives g^-1 once, which sigma (its square root, applied by einsum) and
-    the Besselization drift share; each point of the Coriolis stencil gives
-    sqrt(det g) g^-1 from its own single metric.  The arithmetic is that of
-    the ``MetricChart`` evaluators, and G = tr((sigma - I)^2) / rho^4."""
+class _MatrixPoint(_Point):
+    """A point that holds the matrix sigma: sigma v by einsum,
+    c = (d - tr g^-1) x / (2 rho^2) and G = tr((sigma - I)^2) / rho^4.
+    Subclasses supply ``sigma``, ``_trace_g_inv`` and ``coriolis``."""
 
-    def __init__(self, chart, t, x):
+    def __init__(self, chart, x):
         super().__init__(x)
         self._chart = chart
+        self.d = chart.d
+
+    def sigma_apply(self, v):
+        return np.einsum("...ij,...j->...i", self.sigma, v)
+
+    def bessel_drift(self):
+        safe = np.where(self.rho > 1e-12, self.rho, 1.0)
+        amp = np.where(self.rho > 1e-12, (self.d - self._trace_g_inv) / (2 * safe ** 2), 0.0)
+        return amp[..., None] * self.x
+
+    def G(self):
+        dev = self.sigma - np.eye(self.d)
+        return np.einsum("...ij,...ji->...", dev, dev) / self.rho ** 4
+
+
+class _NumericPoint(_MatrixPoint):
+    """``MetricChart.at``: one metric evaluation per point.  The metric at x
+    gives g^-1 once, which sigma (its square root) and the Besselization
+    drift share; each point of the Coriolis stencil gives sqrt(det g) g^-1
+    from its own single metric.  The arithmetic is that of the
+    ``MetricChart`` evaluators."""
+
+    def __init__(self, chart, t, x):
+        super().__init__(chart, x)
         self._t = t
 
     @cached_property
@@ -963,8 +982,9 @@ class _NumericPoint(_Point):
     def sigma(self):
         return _spd_sqrt(self._g_inv, self._t, self.x)
 
-    def sigma_apply(self, v):
-        return np.einsum("...ij,...j->...i", self.sigma, v)
+    @property
+    def _trace_g_inv(self):
+        return np.trace(self._g_inv, axis1=-2, axis2=-1)
 
     def coriolis(self):
         chart, t, x = self._chart, self._t, self.x
@@ -984,15 +1004,21 @@ class _NumericPoint(_Point):
             out += der[..., :, j]
         return 0.5 * out / sq[..., None]
 
-    def bessel_drift(self):
-        safe = np.where(self.rho > 1e-12, self.rho, 1.0)
-        tr = np.trace(self._g_inv, axis1=-2, axis2=-1)
-        amp = np.where(self.rho > 1e-12, (self._chart.d - tr) / (2 * safe ** 2), 0.0)
-        return amp[..., None] * self.x
 
-    def G(self):
-        dev = self.sigma - np.eye(self._chart.d)
-        return np.einsum("...ij,...ji->...", dev, dev) / self.rho ** 4
+class _GridPoint(_MatrixPoint):
+    """``PrecomputedChart.at``: sigma from its table, looked up once; a from
+    its own table; tr g^-1 = sum_ij sigma_ij^2 from that same sigma."""
+
+    @cached_property
+    def sigma(self):
+        return _unpack_sym(self._chart._sigma(self.x), self.d)
+
+    @property
+    def _trace_g_inv(self):
+        return np.einsum("...ij,...ij->...", self.sigma, self.sigma)
+
+    def coriolis(self):
+        return self._chart._a(self.x)
 
 
 class _RadialPoint(_Point):
@@ -1157,50 +1183,73 @@ class ShotChart(MetricChart):
                              at=(t, np.zeros(self.d)))
 
 
-class _GridTable:
-    """Cubic B-spline interpolant of a (d, d) field on the cube [-bound, bound]^d.
+def _unpack_sym(p, d):
+    """Symmetric (d, d) matrices from their packed upper triangles (..., k)."""
+    i, j = np.triu_indices(d)
+    out = np.empty(p.shape[:-1] + (d, d))
+    out[..., i, j] = p
+    out[..., j, i] = p
+    return out
 
-    ``fn`` maps points of shape (m, d) to values of shape (m, d, d) and is
-    sampled once on ``n`` nodes per axis.  The field must be symmetric: only
-    the entries with i <= j are stored.
+
+def _node_derivative(f, axis, h):
+    """4th-order first derivative of node values along ``axis`` (spacing h):
+    central inside, one-sided on the two outer layers of nodes at each end."""
+    f = np.moveaxis(f, axis, 0)
+    out = np.empty_like(f)
+    out[2:-2] = f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]
+    out[0] = -25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]
+    out[1] = -3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]
+    out[-2] = 3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]
+    out[-1] = 25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]
+    return np.moveaxis(out / (12 * h), 0, axis)
+
+
+class _GridTable:
+    """Cubic B-spline interpolant of a k-component field on the cube
+    [-bound, bound]^d, from its ``values`` of shape (n,) * d + (k,) on ``n``
+    equally spaced nodes per axis.  A call maps points (..., d) to (..., k).
     """
 
-    def __init__(self, fn, bound, n, d):
-        axes = (np.linspace(-bound, bound, n),) * d
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        values = fn(mesh.reshape(-1, d)).reshape(mesh.shape[:-1] + (d, d))
+    def __init__(self, values, bound):
         # imported after sampling: imported before it, scipy raised the peak
         # memory of a 15-node warped 3-d chart build by about 30 %
         from scipy import ndimage
 
+        n = values.shape[0]
         self.bound = float(bound)
         self.scale = (n - 1) / (2 * self.bound)
-        self.d = d
-        self.coeffs = {(i, j): ndimage.spline_filter(values[..., i, j], order=3, mode="mirror")
-                       for i in range(d) for j in range(i, d)}
+        self.coeffs = [ndimage.spline_filter(values[..., k], order=3, mode="mirror")
+                       for k in range(values.shape[-1])]
 
     def __call__(self, x):
         from scipy import ndimage
 
         x = np.asarray(x, dtype=float)
         flat = ((x + self.bound) * self.scale).reshape(-1, x.shape[-1]).T
-        out = np.zeros(x.shape[:-1] + (self.d, self.d))
-        for (i, j), coeffs in self.coeffs.items():
-            v = ndimage.map_coordinates(coeffs, flat, order=3, prefilter=False,
-                                        mode="mirror").reshape(x.shape[:-1])
-            out[..., i, j] = v
-            out[..., j, i] = v
+        out = np.empty(x.shape[:-1] + (len(self.coeffs),))
+        for k, coeffs in enumerate(self.coeffs):
+            out[..., k] = ndimage.map_coordinates(
+                coeffs, flat, order=3, prefilter=False, mode="mirror").reshape(x.shape[:-1])
         return out
 
 
 class PrecomputedChart(MetricChart):
     """Grid-sampled stand-in for a (time-independent) shot chart.
 
-    Samples the metric once on a cube grid and evaluates it afterwards by
-    cubic B-spline interpolation, making Monte Carlo over warped models
-    tractable.  Interpolation error is a few parts in 1e6 at the default
-    resolution; sigma, det g and the drifts are the base class's numerical
-    evaluators applied to the interpolant.
+    Samples the base chart's metric once on ``n_nodes`` nodes per axis of
+    the cube [-tube_radius, tube_radius]^d and tabulates, as cubic B-splines
+    of those node values: g (for ``metric``, ``metric_inv`` and
+    ``sqrt_det``), sigma = (g^-1)^(1/2), and the Coriolis drift
+    a^i = (1/2) sum_j d_j(sqrt(g) g^ij) / sqrt(g), whose derivatives are
+    4th-order differences of the node values (central inside, one-sided on
+    the two outer layers of nodes), not of the spline, whose mirror boundary
+    would bend them near the cube faces.  The Besselization drift comes from
+    the looked-up sigma, as tr g^-1 = sum_ij sigma_ij^2; a table of c would
+    interpolate poorly, since c is a cone at the origin on non-Einstein
+    models.  A step makes 6 lookups for sigma and 3 for a, and no inverse,
+    determinant or eigendecomposition.  Interpolation error is a few parts
+    in 1e6 at the default resolution.
     """
 
     def __init__(self, chart, n_nodes=25):
@@ -1208,13 +1257,42 @@ class PrecomputedChart(MetricChart):
             raise ConstructionError("closed-form charts need no tabulation")
         if chart.curve.kind != "constant":
             raise ConstructionError("only time-independent charts can be tabulated")
+        if n_nodes < 5:
+            raise ConstructionError(f"a grid chart needs at least 5 nodes per axis "
+                                    f"(its difference stencil), got {n_nodes}")
         super().__init__(chart.model, chart.curve, chart.tube_radius, chart._vframe)
         self._base = chart
-        self._g = _GridTable(lambda x: chart.metric(0.0, x), chart.tube_radius,
-                             n_nodes, self.d)
+        d, bound = self.d, chart.tube_radius
+        axes = (np.linspace(-bound, bound, n_nodes),) * d
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        g = chart.metric(0.0, mesh.reshape(-1, d)).reshape(mesh.shape[:-1] + (d, d))
+        if not np.all(np.isfinite(g)):
+            raise NumericError("non-finite metric at a grid node")
+        sq = _sqrt_det(g)
+        g_inv = np.linalg.inv(g)
+        sigma = _spd_sqrt(g_inv, 0.0, mesh)
+        flux = sq[..., None, None] * g_inv
+        h = axes[0][1] - axes[0][0]
+        div = sum(_node_derivative(flux[..., :, j], j, h) for j in range(d))
+        upper = (..., *np.triu_indices(d))  # the entries i <= j, packed
+        self._g = _GridTable(g[upper], bound)
+        self._sigma = _GridTable(sigma[upper], bound)
+        self._a = _GridTable(0.5 * div / sq[..., None], bound)
+
+    def at(self, t, x):
+        return _GridPoint(self, x)
 
     def metric(self, t, x):
-        return self._g(x)
+        return _unpack_sym(self._g(x), self.d)
+
+    def sigma(self, t, x):
+        return self.at(t, x).sigma
+
+    def coriolis(self, t, x):
+        return self.at(t, x).coriolis()
+
+    def bessel_drift(self, t, x):
+        return self.at(t, x).bessel_drift()
 
     def curvature_at(self, t):
         return self._base.curvature_at(t)

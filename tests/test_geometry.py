@@ -310,19 +310,103 @@ def test_geodesic_acc_equals_christoffel_einsum(profile, case):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("grid", [False, True])
-def test_numeric_point_equals_evaluators(warped3_chart, grid):
-    # ``at`` evaluates the metric once per point; its sigma v, a and c are
-    # the ``MetricChart`` evaluators' bit for bit
-    chart = geo.PrecomputedChart(warped3_chart, n_nodes=5) if grid else warped3_chart
+def test_numeric_point_equals_evaluators(warped3_chart):
+    # on a shot chart ``at`` evaluates the metric once per point; its sigma
+    # v, a and c are the ``MetricChart`` evaluators' bit for bit
     rng = np.random.default_rng(8)
-    x = random_ball_points(rng, 3, 0.25, 12 if grid else 3)
+    x = random_ball_points(rng, 3, 0.25, 3)
+    v = rng.standard_normal(x.shape)
+    p = warped3_chart.at(0.0, x)
+    M = geo.MetricChart
+    sigma = M.sigma(warped3_chart, 0.0, x)
+    assert np.array_equal(p.sigma_apply(v), np.einsum("...ij,...j->...i", sigma, v))
+    assert np.array_equal(p.coriolis(), M.coriolis(warped3_chart, 0.0, x))
+    assert np.array_equal(p.bessel_drift(), M.bessel_drift(warped3_chart, 0.0, x))
+
+
+def test_grid_point_equals_own_evaluators(warped3_chart):
+    # a grid chart tabulates sigma and a, and its evaluators wrap ``at``:
+    # point and evaluators agree bit for bit, and c and G come from the
+    # tabulated sigma (tr g^-1 = sum_ij sigma_ij^2), not from the metric
+    chart = geo.PrecomputedChart(warped3_chart, n_nodes=5)
+    rng = np.random.default_rng(8)
+    x = random_ball_points(rng, 3, 0.25, 12)
     v = rng.standard_normal(x.shape)
     p = chart.at(0.0, x)
-    M = geo.MetricChart
-    assert np.array_equal(p.sigma_apply(v), np.einsum("...ij,...j->...i", M.sigma(chart, 0.0, x), v))
-    assert np.array_equal(p.coriolis(), M.coriolis(chart, 0.0, x))
-    assert np.array_equal(p.bessel_drift(), M.bessel_drift(chart, 0.0, x))
+    sigma = chart.sigma(0.0, x)
+    assert np.array_equal(sigma, np.swapaxes(sigma, -1, -2))
+    assert np.array_equal(p.sigma_apply(v), chart.sigma_apply(0.0, x, v))
+    assert np.array_equal(p.sigma_apply(v), np.einsum("...ij,...j->...i", sigma, v))
+    assert np.array_equal(chart.sigma_diag(0.0, x), np.diagonal(sigma, axis1=-2, axis2=-1))
+    assert np.array_equal(p.coriolis(), chart.coriolis(0.0, x))
+    assert np.array_equal(p.bessel_drift(), chart.bessel_drift(0.0, x))
+    rho = np.linalg.norm(x, axis=-1)
+    tr = np.einsum("...ij,...ij->...", sigma, sigma)
+    assert np.array_equal(p.bessel_drift(), ((3 - tr) / (2 * rho ** 2))[:, None] * x)
+    dev = sigma - np.eye(3)
+    assert np.array_equal(p.G(), np.einsum("...ij,...ji->...", dev, dev) / rho ** 4)
+    # an unbatched point gives its row of the batch
+    assert np.array_equal(chart.coriolis(0.0, x[0]), p.coriolis()[0])
+
+
+def test_grid_chart_drifts_match_shot_chart(warped3_chart):
+    # the tabulated a (4th-order differences of the node values) is closer to
+    # the shot chart than finite differences of the interpolated metric
+    grid = geo.PrecomputedChart(warped3_chart, n_nodes=15)
+    x = random_ball_points(np.random.default_rng(3), 3, 0.1, 40)
+    a = warped3_chart.coriolis(0.0, x)
+    err_a = np.max(np.abs(grid.coriolis(0.0, x) - a))
+    assert err_a < 2e-5
+    assert err_a < np.max(np.abs(geo.MetricChart.coriolis(grid, 0.0, x) - a))
+    assert np.max(np.abs(grid.sigma(0.0, x) - warped3_chart.sigma(0.0, x))) < 5e-6
+    assert np.max(np.abs(grid.bessel_drift(0.0, x) - warped3_chart.bessel_drift(0.0, x))) < 5e-5
+
+
+def test_node_derivative_exact_on_quartics():
+    # the grid chart differences a on its nodes: the 5-point stencils, central
+    # and one-sided on the outer layers, are exact on polynomials of degree 4
+    nodes = np.linspace(-0.3, 0.3, 7)
+    X, Y = np.meshgrid(nodes, nodes, indexing="ij")
+    f = X ** 4 - 2 * X * Y ** 3 + Y ** 2
+    h = nodes[1] - nodes[0]
+    assert np.max(np.abs(geo._node_derivative(f, 0, h) - (4 * X ** 3 - 2 * Y ** 3))) < 1e-13
+    assert np.max(np.abs(geo._node_derivative(f, 1, h) - (2 * Y - 6 * X * Y ** 2))) < 1e-13
+
+
+class _Folded(geo.MetricChart):
+    """g = diag(1, 1 - 5 x_0 x_1) in d = 2, or (1 - 5 x_0 x_1) I when
+    ``scalar``: positive definite inside the tube of radius 0.5, but not at the
+    corners x_0 = x_1 = +-0.5 of the cube a grid chart samples."""
+
+    def __init__(self, scalar):
+        super().__init__(geo.euclidean(2), geo.constant_curve(T=1.0), 0.5, lambda t: None)
+        self.scalar = scalar
+
+    def metric(self, t, x):
+        g = np.zeros(np.shape(x) + (2,))
+        w = 1.0 - 5.0 * x[..., 0] * x[..., 1]
+        g[..., 0, 0] = w if self.scalar else 1.0
+        g[..., 1, 1] = w
+        return g
+
+
+def test_grid_chart_build_checks(warped3_chart):
+    with pytest.raises(ConstructionError, match="at least 5 nodes"):
+        geo.PrecomputedChart(warped3_chart, n_nodes=4)
+    # det g < 0 at a corner node
+    with pytest.raises(NumericError, match="non-positive metric determinant"):
+        geo.PrecomputedChart(_Folded(scalar=False), n_nodes=5)
+    # det g > 0 at every node, but g^-1 is negative definite at the corners
+    with pytest.raises(NumericError, match="not SPD"):
+        geo.PrecomputedChart(_Folded(scalar=True), n_nodes=5)
+    # a NaN node value would spread through the spline prefilter
+    nan_chart = _Folded(scalar=False)
+    nan_chart.metric = lambda t, x: np.where(np.abs(x[..., :1, None]) > 0.4, np.nan,
+                                             _Folded.metric(nan_chart, t, x))
+    with pytest.raises(NumericError, match="non-finite"):
+        geo.PrecomputedChart(nan_chart, n_nodes=5)
+    # inside the tube the folded metric is fine
+    assert _Folded(scalar=True).sqrt_det(0.0, np.array([0.35, 0.35])) > 0
 
 
 def test_numeric_point_rejects_nonpositive_determinant():

@@ -8,8 +8,9 @@ the harness's tiny sizes with seed 1 and one worker, so two trees run the
 same ops.  Three runs that no workload covers come with them: the results
 of ``omtube couple`` on S2 with the rotational field, the states of five
 single paths of ``sde.simulate_X`` there, and the evaluators of the warped
-3-d chart (its grid metric, and the shot chart's sigma v, a and c), whose
-last bits the ``ratio-warped3`` survivor counts do not show.  The output is
+3-d chart (the metric and the tabulated sigma v, a and c of its grid chart,
+and the shot chart's sigma v, a and c), whose last bits the
+``ratio-warped3`` survivor counts do not show.  The output is
 one sorted JSON line holding ``cli.SCHEMA`` and the results, so two trees
 can be compared textually: outputs that are meant to stay fixed are equal,
 or the schema differs.
@@ -72,8 +73,9 @@ def paths_x_s2_rot():
 
 
 def warped3_evaluators():
-    """The metric of a 6-node grid chart of the warped 3-d model at eight
-    points off its nodes, and sigma v, a and c of its shot chart at three."""
+    """The metric, sigma v, a and c of a 6-node grid chart of the warped
+    3-d model at eight points off its nodes, and sigma v, a and c of its
+    shot chart at three."""
     import numpy as np
     from omtube import geometry
 
@@ -83,10 +85,15 @@ def warped3_evaluators():
     pts = np.array([[0.01, -0.03, 0.02], [0.11, 0.07, -0.05], [-0.13, 0.02, 0.09],
                     [0.04, -0.16, -0.11], [-0.07, -0.09, 0.15], [0.19, -0.04, 0.08],
                     [-0.02, 0.21, -0.03], [0.09, 0.12, 0.17]])
-    grid = geometry.PrecomputedChart(chart, n_nodes=6).metric(0.0, pts)
+    grid = geometry.PrecomputedChart(chart, n_nodes=6)
     at = chart.at(0.0, pts[:3])
     v = np.array([[1.0, -0.5, 0.25], [-0.3, 0.8, 0.6], [0.7, 0.1, -0.9]])
-    return {"grid_metric": grid.tolist(), "shot_sigma_v": at.sigma_apply(v).tolist(),
+    grid_at = grid.at(0.0, pts)
+    return {"grid_metric": grid.metric(0.0, pts).tolist(),
+            "grid_sigma_v": grid_at.sigma_apply(np.resize(v, pts.shape)).tolist(),
+            "grid_coriolis": grid_at.coriolis().tolist(),
+            "grid_bessel_drift": grid_at.bessel_drift().tolist(),
+            "shot_sigma_v": at.sigma_apply(v).tolist(),
             "shot_coriolis": at.coriolis().tolist(),
             "shot_bessel_drift": at.bessel_drift().tolist()}
 
