@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, coupling, geometry, mc, om, sde
 from .errors import ConstructionError, EstimationError, OmtubeError
 
-SCHEMA = 3
+SCHEMA = 4
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ eigen square root, finite-difference Coriolis drift, trace-formula
 Besselization drift); each subclass supplies ``metric`` and ``curvature_at``:
 
 * ``RadialChart`` -- closed forms for every evaluator (constant curvature).
-* ``ShotChart`` -- the metric by geodesic shooting in an ambient metric, the
-  curvature from its Christoffel symbols (warped models, or method="shoot").
+* ``ShotChart`` -- the metric by geodesic shooting in an ambient metric, from
+  the Jacobi fields integrated along each geodesic, the curvature from its
+  Christoffel symbols (warped models, or method="shoot").
 * ``PrecomputedChart`` -- a time-independent shot chart sampled once on a
   cube grid: the metric g, sigma and the Coriolis drift a are tabulated
   from those node values (a by 4th-order differences on the node grid)
@@ -584,6 +585,43 @@ class DiagonalAmbient:
                     acc[j] += (own[j, i] * v[i]) * v[j]
         return -np.moveaxis(acc, 0, -1)
 
+    def geodesic_jvp(self, y, v, J, Jd):
+        """Linearization of ``geodesic_acc`` at (y, v) along the columns of J
+        (in y) and Jd (in v), as [..., k, c], in closed form in w, w', w''.
+
+        With grad p = q y, q = p'(rho)/rho (p''(0) at the origin), the
+        acceleration is -B/(2w) where B = 2 beta v (grad p . v) - grad p
+        (beta . v^2).  Along (dy, dv): d grad p = (p'' - q)(u . dy) u + q dy,
+        dw = beta (grad p . dy), and d acc = (dw / 2w^2) B - dB / (2w).
+        """
+        # component axes first, so each operation runs over the points
+        y, v = (np.moveaxis(np.asarray(a, dtype=float), -1, 0).copy() for a in (y, v))
+        J, Jd = (np.moveaxis(np.asarray(a, dtype=float), (-2, -1), (0, 1)).copy()
+                 for a in (J, Jd))
+        rho = np.linalg.norm(y, axis=0)
+        small = rho <= 1e-12
+        safe = np.where(small, 1.0, rho)
+        u = y / safe
+        q = np.where(small, self.profile.deriv2(0.0), self.profile.deriv(rho) / safe)
+        beta = self.beta.reshape((-1,) + (1,) * rho.ndim)
+        w = np.moveaxis(self._w(rho), -1, 0)
+
+        def dot(a, M):  # sum_i a^i M^i_c
+            return np.einsum("i...,ic...->c...", a, M)
+
+        grad = q * y
+        grad_v = np.sum(grad * v, axis=0)
+        beta_v2 = np.sum(beta * v * v, axis=0)
+        B = 2 * beta * v * grad_v - grad * beta_v2
+        dgrad = ((self.profile.deriv2(rho) - q) * u)[:, None] * dot(u, J) + q * J
+        dw = beta[:, None] * dot(grad, J)
+        dgrad_v = dot(v, dgrad) + dot(grad, Jd)
+        dbeta_v2 = 2 * dot(beta * v, Jd)
+        dB = (2 * beta[:, None] * (Jd * grad_v + v[:, None] * dgrad_v)
+              - dgrad * beta_v2 - grad[:, None] * dbeta_v2)
+        out = dw * (B / (2 * w * w))[:, None] - dB / (2 * w)[:, None]
+        return np.moveaxis(out, (0, 1), (-2, -1)).copy()
+
     def dchristoffel(self, y):
         """d_l Gamma^k_ij as [..., l, k, i, j], closed form from w, w', w''."""
         y = np.asarray(y, dtype=float)
@@ -652,6 +690,12 @@ class CallableAmbient:
     def geodesic_acc(self, y, v):
         """-Gamma^k_ij v^i v^j from the finite-difference Christoffels."""
         return -np.einsum("...kij,...i,...j->...k", self.christoffel(y), v, v)
+
+    def geodesic_jvp(self, y, v, J, Jd):
+        """Linearization of ``geodesic_acc`` along the columns of J (in y)
+        and Jd (in v): -d_l Gamma^k_ij J^l v^i v^j - 2 Gamma^k_ij v^i Jd^j."""
+        return (-np.einsum("...lkij,...lc,...i,...j->...kc", self.dchristoffel(y), J, v, v)
+                - 2 * np.einsum("...kij,...i,...jc->...kc", self.christoffel(y), v, Jd))
 
     def dchristoffel(self, y):
         y = np.asarray(y, dtype=float)
@@ -1108,21 +1152,22 @@ class RadialChart(MetricChart):
         return _constant_curvature_data(self.model.curv, self.d, t)
 
 
-# RK4 step bound along the unit-time geodesic parameterization, and the step
-# of the 4-point finite-difference Jacobian of the exponential map.
+# RK4 step bound along the unit-time geodesic parameterization
 _SHOT_MAX_STEP = 0.02
-_SHOT_JAC_H = 5e-3
 
 
 class ShotChart(MetricChart):
     """Numerical Fermi chart over an ambient metric.
 
     Geodesics are integrated with a classical RK4 whose acceleration is the
-    ambient's ``geodesic_acc(y, v)`` = -Gamma^k_ij v^i v^j, and the chart
-    metric is the pull-back of the ambient metric through a 4-point
-    finite-difference Jacobian of the exponential map.  ``centers`` maps t
-    to the ambient point gamma(t) and ``frames`` to the (d, d) matrix whose
-    columns are the transported frame vectors there.
+    ambient's ``geodesic_acc(y, v)`` = -Gamma^k_ij v^i v^j.  The same RK4
+    integrates the variational (Jacobi) equation along each geodesic,
+    J'' = D acc(y, v) (J, J') by the ambient's ``geodesic_jvp``, from J = 0
+    and J' = the frame, so J(1) is the Jacobian of the exponential map in
+    frame coordinates and the chart metric is its pull-back J^T G(y) J: one
+    geodesic per point, no difference stencil (Gray, *Tubes*, ch. 2).
+    ``centers`` maps t to the ambient point gamma(t) and ``frames`` to the
+    (d, d) matrix whose columns are the transported frame vectors there.
     """
 
     def __init__(self, model, curve, tube_radius, vframe, ambient, centers, frames):
@@ -1132,45 +1177,38 @@ class ShotChart(MetricChart):
         self.frames = frames
 
     def _shoot(self, t, X):
-        """exp_{gamma(t)}(X^i e_i(t)) for a batch X of shape (m, d)."""
+        """exp_{gamma(t)}(X^i e_i(t)) for a batch X of shape (m, d), and its
+        Jacobian J[m, a, i] = d end^a / d X^i."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         m, d = X.shape
         E = self.frames(t)
         y = np.broadcast_to(self.centers(t), (m, d)).copy()
         v = X @ E.T
+        state = (y, v, np.zeros((m, d, d)), np.broadcast_to(E, (m, d, d)).copy())
         speed = float(np.max(np.linalg.norm(X, axis=1), initial=0.0))
         n = max(12, int(math.ceil(speed / _SHOT_MAX_STEP)))
         h = 1.0 / n
-        acc = self.ambient.geodesic_acc
+        acc, jvp = self.ambient.geodesic_acc, self.ambient.geodesic_jvp
+
+        def rate(s):
+            y, v, J, Jd = s
+            return v, acc(y, v), Jd, jvp(y, v, J, Jd)
 
         for _ in range(n):
-            k1y, k1v = v, acc(y, v)
-            k2y, k2v = v + 0.5 * h * k1v, acc(y + 0.5 * h * k1y, v + 0.5 * h * k1v)
-            k3y, k3v = v + 0.5 * h * k2v, acc(y + 0.5 * h * k2y, v + 0.5 * h * k2v)
-            k4y, k4v = v + h * k3v, acc(y + h * k3y, v + h * k3v)
-            y = y + (h / 6) * (k1y + 2 * k2y + 2 * k3y + k4y)
-            v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        return y
+            k1 = rate(state)
+            k2 = rate([a + 0.5 * h * k for a, k in zip(state, k1)])
+            k3 = rate([a + 0.5 * h * k for a, k in zip(state, k2)])
+            k4 = rate([a + h * k for a, k in zip(state, k3)])
+            state = [a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
+        return state[0], state[2]
 
     def metric(self, t, x):
         X = np.asarray(x, dtype=float)
         flat = np.atleast_2d(X.reshape(-1, X.shape[-1]))
-        m, d = flat.shape
-        h = _SHOT_JAC_H
-        pts = []
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1.0
-            for c in (-2.0, -1.0, 1.0, 2.0):
-                pts.append(flat + c * h * e)
-        ends = self._shoot(t, np.concatenate(pts, axis=0)).reshape(d, 4, m, d)
-        J = np.empty((m, d, d))  # J[m, a, i] = d end^a / d x^i
-        for i in range(d):
-            fm2, fm1, fp1, fp2 = ends[i]
-            J[:, :, i] = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
-        base = self._shoot(t, flat)
-        G = self.ambient.metric(base)
-        g = np.einsum("mai,mab,mbj->mij", J, G, J)
+        d = flat.shape[1]
+        end, J = self._shoot(t, flat)
+        g = np.einsum("mai,mab,mbj->mij", J, self.ambient.metric(end), J)
         g = 0.5 * (g + np.swapaxes(g, -1, -2))
         return g.reshape(X.shape[:-1] + (d, d)) if X.ndim > 1 else g[0]
 
@@ -1238,8 +1276,10 @@ class PrecomputedChart(MetricChart):
     """Grid-sampled stand-in for a (time-independent) shot chart.
 
     Samples the base chart's metric once on ``n_nodes`` nodes per axis of
-    the cube [-tube_radius, tube_radius]^d and tabulates, as cubic B-splines
-    of those node values: g (for ``metric``, ``metric_inv`` and
+    the cube [-tube_radius, tube_radius]^d -- from a ``ShotChart``, one
+    geodesic per node, whose variational equation gives the Jacobian of the
+    exponential map there, with no difference stencil -- and tabulates, as
+    cubic B-splines of those node values: g (for ``metric``, ``metric_inv`` and
     ``sqrt_det``), sigma = (g^-1)^(1/2), and the Coriolis drift
     a^i = (1/2) sum_j d_j(sqrt(g) g^ij) / sqrt(g), whose derivatives are
     4th-order differences of the node values (central inside, one-sided on

@@ -237,15 +237,38 @@ def test_expansion_rejects_bad_radii(sphere2_chart):
 # shot charts
 # ---------------------------------------------------------------------------
 
-def test_shot_chart_reproduces_sphere_closed_form(sphere2_chart):
+def test_shot_chart_reproduces_sphere_closed_form(request):
     # geodesic shooting inside the closed-form ambient metric must land on
-    # the same normal-coordinate metric at a different base point
-    shot = geo.fermi_chart(geo.sphere(2, 1.0),
-                           geo.constant_curve(T=0.5, point=[0.4, 0.2]),
-                           0.5, method="shoot")
+    # the same normal-coordinate metric at a different base point, on the
+    # spheres and hyperbolic spaces of dimension 2 and 3
     rng = np.random.default_rng(11)
-    x = random_ball_points(rng, 2, 0.45, 15)
-    assert np.max(np.abs(shot.metric(0.0, x) - sphere2_chart.metric(0.0, x))) < 1e-7
+    for model, fixture in ((geo.sphere(2, 1.0), "sphere2_chart"),
+                           (geo.hyperbolic(2, 1.0), "hyperbolic2_chart"),
+                           (geo.sphere(3, 1.0), "sphere3_chart"),
+                           (geo.hyperbolic(3, 1.0), "hyperbolic3_chart")):
+        d = model.dim
+        point = [0.4, 0.2, -0.1][:d]
+        shot = geo.fermi_chart(model, geo.constant_curve(T=0.5, point=point), 0.5,
+                               method="shoot")
+        x = random_ball_points(rng, d, 0.45, 15)
+        closed = request.getfixturevalue(fixture)
+        assert np.max(np.abs(shot.metric(0.0, x) - closed.metric(0.0, x))) < 1e-7, fixture
+
+
+def test_jacobi_metric_matches_shot_differences(warped3_chart):
+    # the shot chart's metric comes from the variational equation along one
+    # geodesic per point; the oracle pulls the ambient metric back through a
+    # 4-point difference Jacobian of shot end points, h = 5e-3
+    x = random_ball_points(np.random.default_rng(6), 3, 0.28, 12)
+    h = 5e-3
+    eye = np.eye(3)
+    stencil = np.concatenate([x + c * h * eye[i] for i in range(3)
+                              for c in (-2.0, -1.0, 1.0, 2.0)])
+    ends = warped3_chart._shoot(0.0, stencil)[0].reshape(3, 4, len(x), 3)
+    J = np.stack([(f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h) for f in ends], axis=-1)
+    base = warped3_chart._shoot(0.0, x)[0]
+    g = np.einsum("mai,mab,mbj->mij", J, warped3_chart.ambient.metric(base), J)
+    assert np.max(np.abs(warped3_chart.metric(0.0, x) - g)) < 1e-8
 
 
 def test_warped_chart_identities(warped3_chart):
@@ -308,6 +331,43 @@ def test_geodesic_acc_equals_christoffel_einsum(profile, case):
     got = amb.geodesic_acc(y, v)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _jvp_case(d):
+    """(d, y, v, J, Jd): one to four points y, velocities v and d columns of
+    variations J (of y) and Jd (of v) in R^d."""
+    n = 2 * d + 2 * d * d
+    row = st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)
+    return st.lists(row, min_size=1, max_size=4).map(np.array).map(
+        lambda r: (d, r[:, :d], r[:, d:2 * d], r[:, 2 * d:2 * d + d * d].reshape(-1, d, d),
+                   r[:, 2 * d + d * d:].reshape(-1, d, d)))
+
+
+@given(profile=st.sampled_from(sorted(geo.PROFILES)),
+       case=st.sampled_from([2, 3, 4]).flatmap(_jvp_case))
+@example(profile="bump_strong",
+         case=(3, np.zeros((1, 3)), np.array([[0.3, -1.0, 0.5]]),
+               np.array([[[1.0, 0.2, -0.4], [0.0, -0.7, 0.3], [0.5, 0.1, 1.2]]]),
+               np.array([[[-0.3, 0.8, 0.0], [1.1, 0.4, -0.6], [0.2, -0.9, 0.7]]])))
+def test_geodesic_jvp(profile, case):
+    # the closed form in w, w', w'' is the einsum of the Christoffel tensor
+    # and its derivative; both ambients' linearizations are central
+    # differences of their own accelerations
+    d, y, v, J, Jd = case
+    amb = geo.DiagonalAmbient(d, np.arange(1, d + 1) / d, geo.PROFILES[profile])
+    dgam, gam = amb.dchristoffel(y), amb.christoffel(y)
+    want = (-np.einsum("...lkij,...lc,...i,...j->...kc", dgam, J, v, v)
+            - 2 * np.einsum("...kij,...i,...jc->...kc", gam, v, Jd))
+    size = (np.einsum("...lkij,...lc,...i,...j->...kc", *map(np.abs, (dgam, J, v, v)))
+            + 2 * np.einsum("...kij,...i,...jc->...kc", *map(np.abs, (gam, v, Jd))))
+    got = amb.geodesic_jvp(y, v, J, Jd)
+    assert np.all(np.abs(got - want) <= 1e-12 * size)
+    for ambient, eps, tol in ((amb, 1e-5, 1e-8),
+                              (geo.CallableAmbient(d, amb.metric), 1e-4, 1e-5)):
+        fd = np.stack([(ambient.geodesic_acc(y + eps * J[..., c], v + eps * Jd[..., c])
+                        - ambient.geodesic_acc(y - eps * J[..., c], v - eps * Jd[..., c]))
+                       / (2 * eps) for c in range(d)], axis=-1)
+        assert np.max(np.abs(ambient.geodesic_jvp(y, v, J, Jd) - fd)) <= tol * (1 + np.max(size))
 
 
 def test_numeric_point_equals_evaluators(warped3_chart):

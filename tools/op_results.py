@@ -9,7 +9,7 @@ same ops.  Three runs that no workload covers come with them: the results
 of ``omtube couple`` on S2 with the rotational field, the states of five
 single paths of ``sde.simulate_X`` there, and the evaluators of the warped
 3-d chart (the metric and the tabulated sigma v, a and c of its grid chart,
-and the shot chart's sigma v, a and c), whose last bits the
+and the shot chart's metric, sigma v, a and c), whose last bits the
 ``ratio-warped3`` survivor counts do not show.  The output is
 one sorted JSON line holding ``cli.SCHEMA`` and the results, so two trees
 can be compared textually: outputs that are meant to stay fixed are equal,
@@ -74,8 +74,8 @@ def paths_x_s2_rot():
 
 def warped3_evaluators():
     """The metric, sigma v, a and c of a 6-node grid chart of the warped
-    3-d model at eight points off its nodes, and sigma v, a and c of its
-    shot chart at three."""
+    3-d model at eight points off its nodes, and the metric (its Jacobi
+    fields' bits), sigma v, a and c of its shot chart at three."""
     import numpy as np
     from omtube import geometry
 
@@ -93,6 +93,7 @@ def warped3_evaluators():
             "grid_sigma_v": grid_at.sigma_apply(np.resize(v, pts.shape)).tolist(),
             "grid_coriolis": grid_at.coriolis().tolist(),
             "grid_bessel_drift": grid_at.bessel_drift().tolist(),
+            "shot_metric": chart.metric(0.0, pts[:3]).tolist(),
             "shot_sigma_v": at.sigma_apply(v).tolist(),
             "shot_coriolis": at.coriolis().tolist(),
             "shot_bessel_drift": at.bessel_drift().tolist()}
