@@ -9,12 +9,18 @@ n = 1 + d(d-1)/2, through the isometries J^i built by ``build_J``:
 where <J u, w> is the d-vector with components <J^i u, w>.  Property (c)
 of the J construction makes <U, dB> = <Ut, dBt> = <e0, dW> exactly, so the
 radial parts coincide pathwise in continuous time; the discrete gap is a
-measured diagnostic.  Alongside the pair the integrator tracks Levy areas,
-the inner-product process <U, Ut> with its closed-form SDE coefficients
-H and G, the compensated exponential bookkeeping (Delta, nu), and the
-area-integral martingale M_p.  Each step evaluates the chart once at Y
-(``chart.at``); on radial charts G is the closed form
-(d - 1)(1/tl(R) - 1)^2 / R^4.
+measured diagnostic.
+
+``simulate_coupled_ensemble`` is the one integrator: each chunk runs the
+stepping loop of :mod:`omtube.sde`, whose step is ``_step_batch``.  A step
+evaluates the chart once at Y (``chart.at``); on radial charts G is the
+closed form (d - 1)(1/tl(R) - 1)^2 / R^4.  Each lane carries the records
+listed once in ``RECORDS``: the inner product <U, Ut> with the prediction
+of its closed-form SDE (coefficients H and G), the compensated
+exponential's G_int and nu, the area martingale's Ito sum M_ito and
+bracket M_bracket with the beta integrals L and L_tilde (Levy-area
+increments by the Stratonovich midpoint rule), and the diagnostics.
+``martingale_Mp`` forms M_p from those records.
 """
 
 import math
@@ -29,9 +35,6 @@ from .sde import _chunks, _step_lanes
 __all__ = [
     "JMaps",
     "build_J",
-    "CoupledState",
-    "coupled_step",
-    "levy_area_update",
     "H_of",
     "G_of",
     "CoupledEnsemble",
@@ -127,86 +130,8 @@ def _h2_exceeds_g(H, G, R, d):
     return out
 
 
-def levy_area_update(A, y_old, y_new):
-    """Stratonovich midpoint increment of the area matrix.
-
-    dA^ij = ybar^i dy^j - ybar^j dy^i with ybar the step midpoint; the
-    running matrix stays exactly antisymmetric.
-    """
-    return A + _area_increment(y_old, y_new)
-
-
-# ---------------------------------------------------------------------------
-# single-state step (reference implementation of the ensemble kernel)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CoupledState:
-    """Joint state of the coupled pair and its bookkeeping scalars."""
-
-    t: float
-    Y: np.ndarray
-    Y_tilde: np.ndarray
-    A: np.ndarray
-    G_int: float = 0.0
-    nu: float = 0.0
-    M_ito: float = 0.0       # sum alpha_ij dA^ij (Ito, left point)
-    M_bracket: float = 0.0   # sum (alpha_ij dA^ij)^2
-    L: float = 0.0
-    L_tilde: float = 0.0
-
-    @property
-    def R(self):
-        return float(np.linalg.norm(self.Y))
-
-    @property
-    def R_tilde(self):
-        return float(np.linalg.norm(self.Y_tilde))
-
-    @property
-    def U(self):
-        return self.Y / self.R
-
-    @property
-    def U_tilde(self):
-        return self.Y_tilde / self.R_tilde
-
-    @property
-    def uu(self):
-        return float(self.U @ self.U_tilde)
-
-    @property
-    def Delta(self):
-        return (1.0 - self.uu) * math.exp(0.5 * self.G_int)
-
-
-def coupled_step(chart, state, dW, dt, forms=None):
-    """Advance one coupled state by one Euler step from the shared noise dW.
-
-    Uses the identical arithmetic as the vectorized ensemble integrator;
-    exposed for direct inspection and unit tests.  Returns the new state
-    and the per-step extras (dB, dBt, dW0, dW1, H, G, ...).
-    """
-    out = _step_batch(chart, build_J(chart.d), state.t,
-                      state.Y[None, :], state.Y_tilde[None, :],
-                      dW[None, :], dt, forms)
-    new = CoupledState(
-        t=state.t + dt,
-        Y=out["Y"][0], Y_tilde=out["Yt"][0],
-        A=levy_area_update(state.A, state.Y, out["Y"][0]),
-        G_int=state.G_int + out["dG_int"][0],
-        nu=state.nu + out["dnu"][0] * math.exp(state.G_int),
-        M_ito=state.M_ito + out["dM_ito"][0],
-        M_bracket=state.M_bracket + out["dM_bracket"][0],
-        L=state.L + out["dL"][0],
-        L_tilde=state.L_tilde + out["dLt"][0],
-    )
-    extras = {k: v[0] for k, v in out.items() if k.startswith("d") or k in ("w0_dev", "H", "G")}
-    return new, extras
-
-
 def _step_batch(chart, jmaps, t, Y, Yt, dW, dt, forms, fresh_w1=None):
-    """Shared stepping arithmetic for a batch of coupled states.
+    """One Euler step of a batch of coupled states from the shared noise dW.
 
     Y, Yt: (m, d); dW: (m, n), already scaled by sqrt(dt).  Returns the new
     states plus per-path increments of all bookkeeping accumulators
@@ -270,6 +195,9 @@ def _step_batch(chart, jmaps, t, Y, Yt, dW, dt, forms, fresh_w1=None):
 
 
 def _area_increment(y_old, y_new):
+    """Stratonovich midpoint increment of the Levy area matrix,
+    dA^ij = ybar^i dy^j - ybar^j dy^i with ybar the step midpoint; exactly
+    antisymmetric."""
     ybar = 0.5 * (y_old + y_new)
     dy = y_new - y_old
     return ybar[..., :, None] * dy[..., None, :] - dy[..., :, None] * ybar[..., None, :]

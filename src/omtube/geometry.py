@@ -18,15 +18,17 @@ Built-in models:
   are built numerically by geodesic shooting with a transported frame.
 
 Charts.  ``fermi_chart`` returns one of three classes, one per evaluation
-rule.  Their base ``MetricChart`` holds the domain check, the frame velocity
-and numerical evaluators derived from ``metric`` alone (inverse, determinant,
-eigen square root, finite-difference Coriolis drift, trace-formula
-Besselization drift); each subclass supplies ``metric`` and ``curvature_at``:
+rule.  Each supplies ``metric`` and ``curvature_at`` and may replace the
+per-point evaluation ``at``; their base ``MetricChart`` holds the frame
+velocity, the inverse metric and sqrt(det g) of ``metric``, and one body
+for each of ``sigma``, ``sigma_apply``, ``coriolis`` and ``bessel_drift``,
+which reads ``self.at(t, x)``:
 
 * ``RadialChart`` -- closed forms for every evaluator (constant curvature).
 * ``ShotChart`` -- the metric by geodesic shooting in an ambient metric, from
   the Jacobi fields integrated along each geodesic, the curvature from its
-  Christoffel symbols (warped models, or method="shoot").
+  Christoffel symbols (warped models, or method="shoot").  It keeps the
+  base ``at``.
 * ``PrecomputedChart`` -- a time-independent shot chart sampled once on a
   cube grid: the metric g, sigma and the Coriolis drift a are tabulated
   from those node values (a by 4th-order differences on the node grid)
@@ -34,15 +36,15 @@ Besselization drift); each subclass supplies ``metric`` and ``curvature_at``:
 
 Per-point evaluation.  ``chart.at(t, x)`` evaluates a chart at a batch of
 points once per step of the steppers in :mod:`omtube.sde` and
-:mod:`omtube.coupling`: ``sigma_apply(v)``, ``coriolis()``, ``bessel_drift()``
-and ``G()`` = tr((sigma - I)^2) / |x|^4.  A
-``RadialChart`` point computes rho = |x|, u = x/rho and 1/tl(rho) once and
-holds every radial formula, G in closed form, and the chart's evaluators
-wrap it.  A ``PrecomputedChart`` point looks sigma up once and a in one
-lookup, takes c from that sigma (tr g^-1 = sum_ij sigma_ij^2), and the
-chart's evaluators wrap it too.  On a ``ShotChart`` the point evaluates
-the metric once per point (at x and at each point of the Coriolis stencil)
-and repeats the arithmetic of the ``MetricChart`` evaluators on it.
+:mod:`omtube.coupling`: ``sigma``, ``sigma_apply(v)``, ``coriolis()``,
+``bessel_drift()`` and ``G()`` = tr((sigma - I)^2) / |x|^4.  The base
+``MetricChart.at`` is the metric-only route, also the tests' reference on
+every chart: it evaluates the metric once per point, at x (whose g^-1 gives
+sigma by eigendecomposition and c by its trace) and at each point of the
+4th-order Coriolis stencil.  A ``RadialChart`` point computes rho = |x|,
+u = x/rho and 1/tl(rho) once and holds every radial formula, G in closed
+form.  A ``PrecomputedChart`` point looks sigma up once and a in one
+lookup, and takes c from that sigma (tr g^-1 = sum_ij sigma_ij^2).
 
 Conventions.  ``metric`` is the matrix (g_ij) defining lengths,
 ``metric_inv`` = (g^ij) is the diffusion coefficient, and
@@ -96,6 +98,11 @@ __all__ = [
 ]
 
 
+def _central_diff(f, x, h, e=1.0):
+    """4th-order central difference of f at x along e, step h."""
+    return (f(x - 2 * h * e) - 8 * f(x - h * e) + 8 * f(x + h * e) - f(x + 2 * h * e)) / (12 * h)
+
+
 # ---------------------------------------------------------------------------
 # profiles for the warped-diagonal model
 # ---------------------------------------------------------------------------
@@ -120,9 +127,7 @@ class Profile:
     def deriv(self, rho):
         if self.df is not None:
             return self.df(rho)
-        h = 1e-4
-        return (self.f(rho - 2 * h) - 8 * self.f(rho - h)
-                + 8 * self.f(rho + h) - self.f(rho + 2 * h)) / (12 * h)
+        return _central_diff(self.f, rho, 1e-4)
 
     def deriv2(self, rho):
         if self.d2f is not None:
@@ -668,15 +673,9 @@ class CallableAmbient:
 
     def _dmetric(self, y):
         y = np.asarray(y, dtype=float)
-        h = self.h
         out = np.zeros(y.shape[:-1] + (self.d, self.d, self.d))
-        for m in range(self.d):
-            e = np.zeros(self.d)
-            e[m] = 1.0
-            out[..., m, :, :] = (
-                self.metric_fn(y - 2 * h * e) - 8 * self.metric_fn(y - h * e)
-                + 8 * self.metric_fn(y + h * e) - self.metric_fn(y + 2 * h * e)
-            ) / (12 * h)
+        for m, e in enumerate(np.eye(self.d)):
+            out[..., m, :, :] = _central_diff(self.metric_fn, y, self.h, e)
         return out  # [..., m, i, j] = d_m g_ij
 
     def christoffel(self, y):
@@ -840,10 +839,11 @@ class MetricChart:
 
     Immutable after construction; all evaluators are pure and safe to call
     from multiple workers.  Points are arrays of shape (..., d).  Subclasses
-    supply ``metric`` and ``curvature_at``; the other evaluators here derive
-    everything from ``metric`` numerically (matrix inverse, determinant,
-    eigendecomposition, finite differences), and ``at`` bundles them per
-    point for a stepper.
+    supply ``metric`` and ``curvature_at``.  ``at`` bundles the evaluators
+    per point for a stepper; the one here derives them from ``metric`` alone
+    (matrix inverse, determinant, eigendecomposition, finite differences),
+    and a subclass may replace it.  ``sigma``, ``sigma_apply``, ``coriolis``
+    and ``bessel_drift`` read ``self.at(t, x)``.
     """
 
     is_radial = False
@@ -854,16 +854,6 @@ class MetricChart:
         self.tube_radius = float(tube_radius)
         self.d = model.dim
         self._vframe = vframe
-
-    # -- basic structure ----------------------------------------------------
-
-    def check_domain(self, x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        if np.any(r > self.tube_radius * (1 + 1e-12)):
-            raise ChartDomainError(
-                f"point with |x| = {float(np.max(r)):.6g} outside tube radius "
-                f"{self.tube_radius:.6g}")
 
     def velocity_frame(self, t):
         """Frame components of gamma_dot(t)."""
@@ -890,24 +880,22 @@ class MetricChart:
 
     def sqrt_det(self, t, x):
         """sqrt(det g(t, x))."""
-        det = np.linalg.det(self.metric(t, x))
-        if np.any(det <= 0):
-            raise NumericError("non-positive metric determinant")
-        return np.sqrt(det)
+        return _sqrt_det(self.metric(t, x))
+
+    def at(self, t, x):
+        """Evaluation at (t, x) for one step: ``sigma``, ``sigma_apply(v)``,
+        ``coriolis()``, ``bessel_drift()`` and ``G()``, sharing what they
+        have in common.  This one is the metric-only route: one metric
+        evaluation per point, at x and at each point of the Coriolis stencil."""
+        return _NumericPoint(self, t, x)
 
     def sigma(self, t, x):
         """Symmetric positive square root of the inverse metric."""
-        return _spd_sqrt(self.metric_inv(t, x), t, x)
-
-    def at(self, t, x):
-        """Evaluation at (t, x) for one step: ``sigma_apply(v)``,
-        ``coriolis()``, ``bessel_drift()`` and ``G()``, sharing what they
-        have in common (here sigma, formed once)."""
-        return _NumericPoint(self, t, x)
+        return self.at(t, x).sigma
 
     def sigma_apply(self, t, x, v):
         """sigma(t,x) @ v."""
-        return np.einsum("...ij,...j->...i", self.sigma(t, x), v)
+        return self.at(t, x).sigma_apply(v)
 
     def sigma_diag(self, t, x):
         """Diagonal entries of sigma (used by the diagonal Milstein scheme)."""
@@ -917,34 +905,11 @@ class MetricChart:
 
     def coriolis(self, t, x):
         """Coriolis drift a(t,x); vanishes on the curve."""
-        return self._coriolis_fd(t, np.asarray(x, dtype=float))
-
-    def _coriolis_fd(self, t, x, h=None):
-        h = h or 1e-3 * self.tube_radius
-        d = self.d
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        sq = self.sqrt_det(t, x)
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1.0
-
-            def f(p):
-                return self.sqrt_det(t, p)[..., None, None] * self.metric_inv(t, p)
-
-            der = (f(x - 2 * h * e) - 8 * f(x - h * e)
-                   + 8 * f(x + h * e) - f(x + 2 * h * e)) / (12 * h)
-            out += der[..., :, j]
-        return 0.5 * out / sq[..., None]
+        return self.at(t, x).coriolis()
 
     def bessel_drift(self, t, x):
         """Besselization drift c(t,x), parallel to x by construction."""
-        x = np.asarray(x, dtype=float)
-        rho = np.linalg.norm(x, axis=-1)
-        safe = np.where(rho > 1e-12, rho, 1.0)
-        tr = np.trace(self.metric_inv(t, x), axis1=-2, axis2=-1)
-        amp = np.where(rho > 1e-12, (self.d - tr) / (2 * safe ** 2), 0.0)
-        return amp[..., None] * x
+        return self.at(t, x).bessel_drift()
 
 
 def _sqrt_det(g):
@@ -1006,9 +971,9 @@ class _MatrixPoint(_Point):
 class _NumericPoint(_MatrixPoint):
     """``MetricChart.at``: one metric evaluation per point.  The metric at x
     gives g^-1 once, which sigma (its square root) and the Besselization
-    drift share; each point of the Coriolis stencil gives sqrt(det g) g^-1
-    from its own single metric.  The arithmetic is that of the
-    ``MetricChart`` evaluators."""
+    drift share; each point of the Coriolis stencil (4th-order central
+    differences, step 1e-3 of the tube radius) gives sqrt(det g) g^-1 from
+    its own single metric, and a^i = (1/2) sum_j d_j(sqrt(g) g^ij) / sqrt(g)."""
 
     def __init__(self, chart, t, x):
         super().__init__(chart, x)
@@ -1031,21 +996,16 @@ class _NumericPoint(_MatrixPoint):
         return np.trace(self._g_inv, axis1=-2, axis2=-1)
 
     def coriolis(self):
-        chart, t, x = self._chart, self._t, self.x
-        h = 1e-3 * chart.tube_radius
+        chart, t = self._chart, self._t
         sq = _sqrt_det(self._g)
 
-        def f(p):
+        def flux(p):
             g = chart.metric(t, p)
             return _sqrt_det(g)[..., None, None] * np.linalg.inv(g)
 
-        out = np.zeros_like(x)
-        for j in range(chart.d):
-            e = np.zeros(chart.d)
-            e[j] = 1.0
-            der = (f(x - 2 * h * e) - 8 * f(x - h * e)
-                   + 8 * f(x + h * e) - f(x + 2 * h * e)) / (12 * h)
-            out += der[..., :, j]
+        out = np.zeros_like(self.x)
+        for j, e in enumerate(np.eye(chart.d)):
+            out += _central_diff(flux, self.x, 1e-3 * chart.tube_radius, e)[..., :, j]
         return 0.5 * out / sq[..., None]
 
 
@@ -1067,7 +1027,8 @@ class _GridPoint(_MatrixPoint):
 
 class _RadialPoint(_Point):
     """``RadialChart.at``: rho, u and 1/tl(rho) once, and the closed forms
-    sigma v = v/tl + (1 - 1/tl)(u.v) u, a = (A/rho) x, c = (C/rho) x and
+    sigma = u u^T + (1/tl)(I - u u^T), sigma v = v/tl + (1 - 1/tl)(u.v) u,
+    a = (A/rho) x, c = (C/rho) x and
     G = tr((sigma - I)^2) / rho^4 = (d - 1)(1/tl - 1)^2 / rho^4."""
 
     def __init__(self, scalars, x):
@@ -1081,6 +1042,15 @@ class _RadialPoint(_Point):
     @cached_property
     def ti(self):
         return 1.0 / self.tl
+
+    def matrix(self, m):
+        """u u^T + m (I - u u^T): g for m = tl^2, g^-1 for tl^-2, sigma for 1/tl."""
+        uu = self.u[..., :, None] * self.u[..., None, :]
+        return uu + m[..., None, None] * (np.eye(self._scalars.d) - uu)
+
+    @cached_property
+    def sigma(self):
+        return self.matrix(self.ti)
 
     def sigma_apply(self, v):
         uv = np.einsum("...i,...i->...", self.u, v)
@@ -1101,8 +1071,7 @@ class RadialChart(MetricChart):
 
     The chart metric is the same at every time, because the model spaces are
     homogeneous: g = u u^T + tl(rho)^2 (I - u u^T), and a and c are radial.
-    ``at`` computes rho, u and 1/tl once and holds each radial formula; the
-    evaluators here are thin wrappers over it.
+    ``at`` computes rho, u and 1/tl once and holds each radial formula.
     """
 
     is_radial = True
@@ -1114,39 +1083,17 @@ class RadialChart(MetricChart):
     def at(self, t, x):
         return _RadialPoint(self._scalars, x)
 
-    def _radial_matrix(self, x, power):
-        """u u^T + tl^power (I - u u^T): g for power 2, g^-1 for -2.0, sigma for -1."""
-        p = self.at(None, x)
-        # a numpy float64 scalar ** -1 may round differently from 1 / tl
-        m = p.ti if power == -1 else p.tl ** power
-        uu = p.u[..., :, None] * p.u[..., None, :]
-        return uu + m[..., None, None] * (np.eye(self.d) - uu)
-
     def metric(self, t, x):
-        return self._radial_matrix(x, 2)
+        p = self.at(t, x)
+        return p.matrix(p.tl ** 2)
 
     def metric_inv(self, t, x):
-        return self._radial_matrix(x, -2.0)
-
-    def sigma(self, t, x):
-        return self._radial_matrix(x, -1)
-
-    def sqrt_det(self, t, x):
-        return self.at(t, x).tl ** (self.d - 1)
-
-    def sigma_apply(self, t, x, v):
-        """sigma(t,x) @ v without forming matrices."""
-        return self.at(t, x).sigma_apply(v)
+        p = self.at(t, x)
+        return p.matrix(p.tl ** -2.0)
 
     def sigma_diag(self, t, x):
         p = self.at(t, x)
         return p.ti[..., None] + (1.0 - p.ti)[..., None] * p.u * p.u
-
-    def coriolis(self, t, x):
-        return self.at(t, x).coriolis()
-
-    def bessel_drift(self, t, x):
-        return self.at(t, x).bessel_drift()
 
     def curvature_at(self, t):
         return _constant_curvature_data(self.model.curv, self.d, t)
@@ -1289,7 +1236,11 @@ class PrecomputedChart(MetricChart):
     interpolate poorly, since c is a cone at the origin on non-Einstein
     models.  A step makes 6 lookups for sigma and 3 for a, and no inverse,
     determinant or eigendecomposition.  Interpolation error is a few parts
-    in 1e6 at the default resolution.
+    in 1e6 at the default resolution.  Use an odd ``n_nodes``: an even grid
+    has no node at the origin, where the exact g = I, and c = (d - tr g^-1)
+    x / (2 rho^2) divides the interpolation error of tr g^-1 by rho^2, so
+    its error grows like 1/|x| towards the origin (on a warped 3-d chart,
+    1.7e-3 at |x| = 1e-4 with 16 nodes against 1.5e-5 with 15).
     """
 
     def __init__(self, chart, n_nodes=25):
@@ -1324,15 +1275,6 @@ class PrecomputedChart(MetricChart):
 
     def metric(self, t, x):
         return _unpack_sym(self._g(x), self.d)
-
-    def sigma(self, t, x):
-        return self.at(t, x).sigma
-
-    def coriolis(self, t, x):
-        return self.at(t, x).coriolis()
-
-    def bessel_drift(self, t, x):
-        return self.at(t, x).bessel_drift()
 
     def curvature_at(self, t):
         return self._base.curvature_at(t)
@@ -1471,13 +1413,9 @@ def curvature_from_chart_fd(chart, t=0.0, h=None):
 def divergence_fd(fn, x, h):
     """Divergence of a vector field by 4th-order central differences."""
     x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
     s = 0.0
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        s = s + (fn(x - 2 * h * e)[..., j] - 8 * fn(x - h * e)[..., j]
-                 + 8 * fn(x + h * e)[..., j] - fn(x + 2 * h * e)[..., j]) / (12 * h)
+    for j, e in enumerate(np.eye(x.shape[-1])):
+        s = s + _central_diff(fn, x, h, e)[..., j]
     return s
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, UnitVectorError
-from .geometry import divergence_fd
+from .geometry import _central_diff, divergence_fd
 
 __all__ = [
     "DriftField",
@@ -241,13 +241,13 @@ def beta(curvature, u):
 # ---------------------------------------------------------------------------
 
 def alpha_form(chart, field, t, x):
-    """Covector alpha_i = sum_j (a + b - c)^j g_ij with b = f - gamma_dot."""
+    """Covector alpha_i = sum_j (a + b - c)^j g_ij with b = f - gamma_dot,
+    a and c from one evaluation of the chart at x."""
     x = np.asarray(x, dtype=float)
-    a = chart.coriolis(t, x)
-    c = chart.bessel_drift(t, x)
+    at = chart.at(t, x)
     b = field(t, x) - chart.velocity_frame(t)
     g = chart.metric(t, x)
-    return np.einsum("...ij,...j->...i", g, a + b - c)
+    return np.einsum("...ij,...j->...i", g, at.coriolis() + b - at.bessel_drift())
 
 
 _GL_CACHE = {}
@@ -304,17 +304,15 @@ def _alpha_kernel_fd(chart, field, t, x, n_gauss=8):
     h = 1e-3 * chart.tube_radius
     nodes, weights = _gauss_legendre_01(n_gauss)
     K = np.zeros(x.shape[:-1] + (d, d))
+
+    def form(p):
+        return alpha_form(chart, field, t, p)
+
     for s, w in zip(nodes, weights):
         pts = s * x
         D = np.empty(x.shape[:-1] + (d, d))  # D[..., i, j] = d_i alpha_j at s x
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1.0
-            der = (alpha_form(chart, field, t, pts - 2 * h * e)
-                   - 8 * alpha_form(chart, field, t, pts - h * e)
-                   + 8 * alpha_form(chart, field, t, pts + h * e)
-                   - alpha_form(chart, field, t, pts + 2 * h * e)) / (12 * h)
-            D[..., i, :] = der
+        for i, e in enumerate(np.eye(d)):
+            D[..., i, :] = _central_diff(form, pts, h, e)
         K += (w * s) * (D - np.swapaxes(D, -1, -2))
     return 0.5 * K
 

@@ -186,10 +186,13 @@ def _make_stepper(kind, chart, drift_field, cfg):
 
 def _tube_advance(step, cfg, chart, gen):
     """``advance`` of tube lanes (state ``y`` and ``r`` = |y|) moved by ``step``
-    on noise from ``gen``; without a tube, a lane beyond the chart raises."""
+    on noise from ``gen``.  A tube must lie inside the chart; without a tube,
+    a lane beyond the chart raises."""
     delta, dt = cfg.delta, cfg.dt
     bridge = cfg.bridge_correction and delta is not None
     bound = chart.tube_radius if chart is not None else np.inf
+    if delta is not None and delta >= bound:
+        raise ChartDomainError("tube delta must stay below the chart tube radius")
     sq = math.sqrt(dt)
 
     def advance(k, s):
@@ -306,8 +309,6 @@ def run_tube_ensemble(kind, d, cfg, n_paths, chart=None, drift_field=None,
     counts then refer to that slice.
     """
     T, n_steps = cfg.horizon(chart.curve if chart is not None else None)
-    if cfg.delta is not None and chart is not None and cfg.delta >= chart.tube_radius:
-        raise ChartDomainError("tube delta must stay below the chart tube radius")
     step = _make_stepper(kind, chart, drift_field, cfg)
     exit_times = []
     terminals = []

@@ -83,14 +83,14 @@ def test_radial_chart_identities_and_numerical_evaluators(case):
     assert dev(np.einsum("mij,mj->mi", sg, x), x) < 1e-13
     assert dev(ch.sigma_apply(t, x, v), np.einsum("mij,mj->mi", sg, v)) < 1e-13
     assert dev(ch.sigma_diag(t, x), np.diagonal(sg, axis1=-2, axis2=-1)) < 1e-13
-    assert dev(ch.sqrt_det(t, x), np.sqrt(np.linalg.det(g))) < 1e-13
-    # the base class derives the same evaluators from the metric alone
-    base = geo.MetricChart
-    for name in ("metric_inv", "sigma", "sigma_diag", "sqrt_det"):
-        assert dev(getattr(base, name)(ch, t, x), getattr(ch, name)(t, x)) < 1e-13
-    assert dev(base.sigma_apply(ch, t, x, v), ch.sigma_apply(t, x, v)) < 1e-13
-    assert dev(base.bessel_drift(ch, t, x), ch.bessel_drift(t, x)) < 1e-12
-    assert dev(base.coriolis(ch, t, x), ch.coriolis(t, x)) < 1e-10
+    assert dev(ch.sqrt_det(t, x), ch.at(t, x).tl ** (ch.d - 1)) < 1e-13
+    # the metric-only route derives the same evaluators from the metric alone
+    assert dev(geo.MetricChart.metric_inv(ch, t, x), gi) < 1e-13
+    ref = geo.MetricChart.at(ch, t, x)
+    assert dev(ref.sigma, sg) < 1e-13
+    assert dev(ref.sigma_apply(v), ch.sigma_apply(t, x, v)) < 1e-13
+    assert dev(ref.bessel_drift(), ch.bessel_drift(t, x)) < 1e-12
+    assert dev(ref.coriolis(), ch.coriolis(t, x)) < 1e-10
 
 
 def test_sqrt_det(sphere2_chart):
@@ -120,7 +120,7 @@ def test_coriolis_closed_vs_fd(sphere2_chart, hyperbolic3_chart):
     for ch in (sphere2_chart, hyperbolic3_chart):
         x = random_ball_points(rng, ch.d, 0.5 * ch.tube_radius, 20)
         a_closed = ch.coriolis(0.0, x)
-        a_fd = ch._coriolis_fd(0.0, x)
+        a_fd = geo.MetricChart.at(ch, 0.0, x).coriolis()
         assert np.max(np.abs(a_closed - a_fd)) < 1e-8
 
 
@@ -240,7 +240,9 @@ def test_expansion_rejects_bad_radii(sphere2_chart):
 def test_shot_chart_reproduces_sphere_closed_form(request):
     # geodesic shooting inside the closed-form ambient metric must land on
     # the same normal-coordinate metric at a different base point, on the
-    # spheres and hyperbolic spaces of dimension 2 and 3
+    # spheres and hyperbolic spaces of dimension 2 and 3; on S2 and H3 the
+    # shot chart's numeric drifts (the Coriolis stencil, the trace of g^-1)
+    # match the closed forms too (|a| and |c| reach 0.24 and 0.12 here)
     rng = np.random.default_rng(11)
     for model, fixture in ((geo.sphere(2, 1.0), "sphere2_chart"),
                            (geo.hyperbolic(2, 1.0), "hyperbolic2_chart"),
@@ -253,6 +255,10 @@ def test_shot_chart_reproduces_sphere_closed_form(request):
         x = random_ball_points(rng, d, 0.45, 15)
         closed = request.getfixturevalue(fixture)
         assert np.max(np.abs(shot.metric(0.0, x) - closed.metric(0.0, x))) < 1e-7, fixture
+        if fixture in ("sphere2_chart", "hyperbolic3_chart"):
+            p, q = shot.at(0.0, x), closed.at(0.0, x)
+            assert np.max(np.abs(p.coriolis() - q.coriolis())) < 3e-6, fixture
+            assert np.max(np.abs(p.bessel_drift() - q.bessel_drift())) < 1e-8, fixture
 
 
 def test_jacobi_metric_matches_shot_differences(warped3_chart):
@@ -285,10 +291,15 @@ def test_warped_chart_identities(warped3_chart):
 
 
 def test_warped_coriolis_against_refined_fd(warped3_chart):
+    # the Coriolis stencil steps 1e-3 tube radii: a chart over the same
+    # ambient, centers and frames with tube radius 0.4 steps h = 4e-4
+    ch = warped3_chart
+    refined = geo.ShotChart(ch.model, ch.curve, 0.4, ch._vframe, ch.ambient, ch.centers,
+                            ch.frames)
     rng = np.random.default_rng(4)
     x = random_ball_points(rng, 3, 0.15, 5)
-    a1 = warped3_chart.coriolis(0.0, x)
-    a2 = warped3_chart._coriolis_fd(0.0, x, h=4e-4)
+    a1 = ch.coriolis(0.0, x)
+    a2 = refined.coriolis(0.0, x)
     assert np.max(np.abs(a1 - a2)) < 1e-8
 
 
@@ -371,17 +382,34 @@ def test_geodesic_jvp(profile, case):
 
 
 def test_numeric_point_equals_evaluators(warped3_chart):
-    # on a shot chart ``at`` evaluates the metric once per point; its sigma
-    # v, a and c are the ``MetricChart`` evaluators' bit for bit
+    # on a shot chart ``at`` evaluates the metric once per point: at x, whose
+    # g^-1 gives sigma and c, and at the 12 points of the Coriolis stencil;
+    # the chart's evaluators read it
     rng = np.random.default_rng(8)
     x = random_ball_points(rng, 3, 0.25, 3)
     v = rng.standard_normal(x.shape)
-    p = warped3_chart.at(0.0, x)
-    M = geo.MetricChart
-    sigma = M.sigma(warped3_chart, 0.0, x)
+    ch = warped3_chart
+    chart = geo.ShotChart(ch.model, ch.curve, ch.tube_radius, ch._vframe, ch.ambient,
+                          ch.centers, ch.frames)
+    calls = []
+
+    def metric(t, p):
+        calls.append(p)
+        return geo.ShotChart.metric(chart, t, p)
+
+    chart.metric = metric
+    p = chart.at(0.0, x)
+    g_inv = np.linalg.inv(ch.metric(0.0, x))
+    sigma = geo._spd_sqrt(g_inv, 0.0, x)
+    assert np.array_equal(p.sigma, sigma)
     assert np.array_equal(p.sigma_apply(v), np.einsum("...ij,...j->...i", sigma, v))
-    assert np.array_equal(p.coriolis(), M.coriolis(warped3_chart, 0.0, x))
-    assert np.array_equal(p.bessel_drift(), M.bessel_drift(warped3_chart, 0.0, x))
+    tr = np.trace(g_inv, axis1=-2, axis2=-1)
+    rho = np.linalg.norm(x, axis=-1)
+    assert np.array_equal(p.bessel_drift(), ((3 - tr) / (2 * rho ** 2))[:, None] * x)
+    a = p.coriolis()
+    assert len(calls) == 13
+    assert np.array_equal(a, chart.coriolis(0.0, x))
+    assert np.array_equal(p.sigma_apply(v), chart.sigma_apply(0.0, x, v))
 
 
 def test_grid_point_equals_own_evaluators(warped3_chart):
@@ -417,7 +445,7 @@ def test_grid_chart_drifts_match_shot_chart(warped3_chart):
     a = warped3_chart.coriolis(0.0, x)
     err_a = np.max(np.abs(grid.coriolis(0.0, x) - a))
     assert err_a < 2e-5
-    assert err_a < np.max(np.abs(geo.MetricChart.coriolis(grid, 0.0, x) - a))
+    assert err_a < np.max(np.abs(geo.MetricChart.at(grid, 0.0, x).coriolis() - a))
     assert np.max(np.abs(grid.sigma(0.0, x) - warped3_chart.sigma(0.0, x))) < 5e-6
     assert np.max(np.abs(grid.bessel_drift(0.0, x) - warped3_chart.bessel_drift(0.0, x))) < 5e-5
 
@@ -568,11 +596,6 @@ def test_fermi_chart_rejects_unknown_method():
                                   "constant curve")]:
         with pytest.raises(ConstructionError, match=match):
             geo.fermi_chart(s2, curve, 0.5, method=method)
-
-
-def test_domain_check(sphere2_chart):
-    with pytest.raises(ChartDomainError):
-        sphere2_chart.check_domain(np.array([1.0, 1.0]))
 
 
 def test_profile_fd_fallback():

@@ -295,6 +295,18 @@ def test_delta_must_fit_chart(sphere2_chart):
         sde.run_tube_ensemble("y", 2, cfg, 2000, chart=sphere2_chart)
 
 
+@pytest.mark.parametrize("delta", [0.3, 1.2])
+def test_single_paths_keep_the_tube_inside_the_chart(delta):
+    # single paths build the tube lanes' advance, which refuses a tube that
+    # reaches the chart's radius: such a tube lets a path step off the chart
+    chart = geo.fermi_chart(geo.sphere(2, 1.0), geo.constant_curve(T=0.5), 0.3)
+    cfg = sde.IntegratorConfig(dt=1e-3, T=0.5, delta=delta, seed=1)
+    with pytest.raises(ChartDomainError, match="tube delta"):
+        sde.simulate_X(chart, om.zero_field(2), cfg)
+    with pytest.raises(ChartDomainError, match="tube delta"):
+        sde.simulate_Y(chart, cfg)
+
+
 def test_ndjson_dump(tmp_path, euclid2_chart):
     import json
 

@@ -5,12 +5,15 @@
 SRC is the ``src`` directory of the checkout to import ``omtube`` from.
 Each workload of this checkout's ``perfbench/workloads.py`` runs one op at
 the harness's tiny sizes with seed 1 and one worker, so two trees run the
-same ops.  Three runs that no workload covers come with them: the results
+same ops.  Four runs that no workload covers come with them: the results
 of ``omtube couple`` on S2 with the rotational field, the states of five
-single paths of ``sde.simulate_X`` there, and the evaluators of the warped
-3-d chart (the metric and the tabulated sigma v, a and c of its grid chart,
-and the shot chart's metric, sigma v, a and c), whose last bits the
-``ratio-warped3`` survivor counts do not show.  The output is
+single paths of ``sde.simulate_X`` there, the evaluators of the warped
+3-d chart (the metric, the tabulated sigma v, a and c and the
+finite-difference ``om.alpha_kernel`` of its grid chart, and the shot
+chart's metric, sigma v, a and c), whose last bits the ``ratio-warped3``
+survivor counts do not show, and two more finite-difference routes on S2
+(the action of a field without an analytic divergence, and the metric of
+the shooting oracle, whose ambient differences its metric).  The output is
 one sorted JSON line holding ``cli.SCHEMA`` and the results, so two trees
 can be compared textually: outputs that are meant to stay fixed are equal,
 or the schema differs.
@@ -44,6 +47,7 @@ def main(src):
     results["couple-s2-rot"] = couple_s2_rot(cli)
     results["paths-x-s2-rot"] = paths_x_s2_rot()
     results["warped3-evaluators"] = warped3_evaluators()
+    results["s2-difference-routes"] = s2_difference_routes()
     print(json.dumps({"schema": cli.SCHEMA, "results": results}, sort_keys=True))
 
 
@@ -74,10 +78,11 @@ def paths_x_s2_rot():
 
 def warped3_evaluators():
     """The metric, sigma v, a and c of a 6-node grid chart of the warped
-    3-d model at eight points off its nodes, and the metric (its Jacobi
-    fields' bits), sigma v, a and c of its shot chart at three."""
+    3-d model at eight points off its nodes and the alpha kernel of a
+    linear field at three, and the metric (its Jacobi fields' bits), sigma
+    v, a and c of its shot chart at three."""
     import numpy as np
-    from omtube import geometry
+    from omtube import geometry, om
 
     chart = geometry.fermi_chart(
         geometry.warped_diagonal(3, "bump_strong"),
@@ -89,7 +94,9 @@ def warped3_evaluators():
     at = chart.at(0.0, pts[:3])
     v = np.array([[1.0, -0.5, 0.25], [-0.3, 0.8, 0.6], [0.7, 0.1, -0.9]])
     grid_at = grid.at(0.0, pts)
+    A = np.array([[0.2, -1.0, 0.3], [0.9, -0.1, 0.5], [-0.4, 0.6, 0.3]])
     return {"grid_metric": grid.metric(0.0, pts).tolist(),
+            "grid_alpha_kernel": om.alpha_kernel(grid, om.linear_field(A), 0.0, pts[:3]).tolist(),
             "grid_sigma_v": grid_at.sigma_apply(np.resize(v, pts.shape)).tolist(),
             "grid_coriolis": grid_at.coriolis().tolist(),
             "grid_bessel_drift": grid_at.bessel_drift().tolist(),
@@ -97,6 +104,25 @@ def warped3_evaluators():
             "shot_sigma_v": at.sigma_apply(v).tolist(),
             "shot_coriolis": at.coriolis().tolist(),
             "shot_bessel_drift": at.bessel_drift().tolist()}
+
+
+def s2_difference_routes():
+    """The action on S2 of a field given without its divergence, and the
+    S2 shooting oracle's metric at three points."""
+    import numpy as np
+    from omtube import geometry, om
+
+    s2 = geometry.sphere(2, 1.0)
+    circle = geometry.fermi_chart(s2, geometry.great_circle_curve(s2, 1.0, 0.5, n_grid=8), 0.5)
+    field = om.DriftField(d=2, f=lambda t, x: np.stack(
+        [np.sin(x[..., 0] + 0.5), x[..., 0] * x[..., 1] - 0.3 * x[..., 1] ** 3 + t], axis=-1))
+    action = om.om_action(circle, field)
+    oracle = geometry.fermi_chart(s2, geometry.constant_curve(T=0.5, point=[0.4, 0.2]), 0.5,
+                                  method="shoot")
+    pts = np.array([[0.01, -0.03], [0.11, 0.07], [-0.13, 0.02]])
+    return {"action_fd_divergence": [action.value, action.error_est, action.kinetic,
+                                     action.divergence, action.curvature],
+            "oracle_metric": oracle.metric(0.0, pts).tolist()}
 
 
 if __name__ == "__main__":
