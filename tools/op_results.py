@@ -13,7 +13,10 @@ finite-difference ``om.alpha_kernel`` of its grid chart, and the shot
 chart's metric, sigma v, a and c), whose last bits the ``ratio-warped3``
 survivor counts do not show, and two more finite-difference routes on S2
 (the action of a field without an analytic divergence, and the metric of
-the shooting oracle, whose ambient differences its metric).  The output is
+the shooting oracle, whose ambient differences its metric), and every
+record of three coupled ensembles (S2 with and without the rotational
+forms, S3 without), of which the workloads show only a few statistics.
+The output is
 one sorted JSON line holding ``cli.SCHEMA`` and the results, so two trees
 can be compared textually: outputs that are meant to stay fixed are equal,
 or the schema differs.
@@ -48,6 +51,7 @@ def main(src):
     results["paths-x-s2-rot"] = paths_x_s2_rot()
     results["warped3-evaluators"] = warped3_evaluators()
     results["s2-difference-routes"] = s2_difference_routes()
+    results["coupled-records"] = coupled_records()
     print(json.dumps({"schema": cli.SCHEMA, "results": results}, sort_keys=True))
 
 
@@ -123,6 +127,28 @@ def s2_difference_routes():
     return {"action_fd_divergence": [action.value, action.error_est, action.kinetic,
                                      action.divergence, action.curvature],
             "oracle_metric": oracle.metric(0.0, pts).tolist()}
+
+
+def coupled_records():
+    """Every record of ``coupling.simulate_coupled_ensemble`` along the
+    great circle of S2 without and with the rotational forms, and on S3
+    without forms: 128 paths, seed 1, delta 0.3, 20 steps."""
+    from omtube import coupling, geometry, om, sde
+
+    cfg = sde.IntegratorConfig(dt=0.0015, T=0.03, delta=0.3, seed=1)
+    s2 = geometry.sphere(2, 1.0)
+    circle = geometry.fermi_chart(s2, geometry.great_circle_curve(s2, 1.0, cfg.T), 0.75)
+    s3 = geometry.fermi_chart(geometry.sphere(3, 1.0), geometry.constant_curve(T=cfg.T), 0.75)
+    runs = {"s2": (circle, None),
+            "s2-rot-forms": (circle, om.girsanov_forms(circle, om.rotational_field(1.0))),
+            "s3": (s3, None)}
+    out = {}
+    for name, (chart, forms) in runs.items():
+        ens = coupling.simulate_coupled_ensemble(chart, cfg, 128, forms=forms)
+        out[name] = {"h2_le_g_violations": ens.h2_le_g_violations,
+                     "w0_identity_dev": ens.w0_identity_dev,
+                     **{k: getattr(ens, k).tolist() for k in coupling.RECORDS}}
+    return out
 
 
 if __name__ == "__main__":
