@@ -65,10 +65,15 @@ def _parse_delta(text):
     return [float(v) for v in str(text).split(",") if v.strip()]
 
 
-def _parse_bool(v):
-    if isinstance(v, bool):
-        return v
-    return str(v).strip().lower() in ("1", "true", "yes", "on")
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def _parse_bool(key, v):
+    word = str(v).strip().lower()
+    if word not in _BOOLS:
+        raise ValueError(f"{key}: expected one of {', '.join(_BOOLS)}, got {v!r}")
+    return _BOOLS[word]
 
 
 def resolve_config(raw):
@@ -81,7 +86,7 @@ def resolve_config(raw):
         cfg[key] = int(cfg[key])
     for key in ("radius", "curvature_scale", "T", "c"):
         cfg[key] = float(cfg[key])
-    cfg["bridge"] = _parse_bool(cfg["bridge"])
+    cfg["bridge"] = _parse_bool("bridge", cfg["bridge"])
     cfg["delta"] = _parse_delta(cfg["delta"])
     if not 0 <= cfg["seed"] < 2 ** 64:
         raise ValueError(f"seed: must lie in [0, 2**64), got {cfg['seed']}")
@@ -304,7 +309,7 @@ def _cmd_moment(cfg):
     chart, field = _setup(cfg)
     rows, bounded = mc.conditional_moment_experiment(
         chart, field, deltas=cfg["delta"], c=cfg["c"], T=cfg["T"],
-        n_paths=cfg["paths"], seed=cfg["seed"])
+        n_paths=cfg["paths"], seed=cfg["seed"], dt=cfg["dt"])
     csv_rows = [["delta", "estimate", "se", "n_survive"]]
     for r in rows:
         csv_rows.append([r["delta"], r["estimate"], r["se"], r["n_survive"]])

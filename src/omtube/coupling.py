@@ -12,14 +12,17 @@ radial parts coincide pathwise in continuous time; the discrete gap is a
 measured diagnostic.
 
 ``simulate_coupled_ensemble`` is the one integrator: each chunk runs the
-stepping loop of :mod:`omtube.sde`, whose step is ``_step_batch``.  A step
-evaluates the chart once at Y (``chart.at``); on radial charts G is the
-closed form (d - 1)(1/tl(R) - 1)^2 / R^4.  Each lane carries the records
-listed once in ``RECORDS``: the inner product <U, Ut> with the prediction
-of its closed-form SDE (coefficients H and G), the compensated
-exponential's G_int and nu, the area martingale's Ito sum M_ito and
-bracket M_bracket with the beta integrals L and L_tilde (Levy-area
-increments by the Stratonovich midpoint rule), and the diagnostics.
+stepping loop of :mod:`omtube.sde` with the ``advance`` that
+``_coupled_advance`` builds, the counterpart of ``sde._tube_advance``.  A
+step evaluates the chart once at Y (``chart.at``); on radial charts G is
+the closed form (d - 1)(1/tl(R) - 1)^2 / R^4.  |Yt| is taken once per
+step, at the exit check, and carried to the next step as the lane state
+``Rt``.  Each lane carries the records listed once in ``RECORDS``: the
+inner product <U, Ut> with the prediction of its closed-form SDE
+(coefficients H and G), the compensated exponential's G_int and nu, the
+area martingale's Ito sum M_ito and bracket M_bracket with the beta
+integrals L and L_tilde (Levy-area increments by the Stratonovich
+midpoint rule), and the diagnostics.
 ``martingale_Mp`` forms M_p from those records.
 """
 
@@ -130,70 +133,6 @@ def _h2_exceeds_g(H, G, R, d):
     return out
 
 
-def _step_batch(chart, jmaps, t, Y, Yt, dW, dt, forms, fresh_w1=None):
-    """One Euler step of a batch of coupled states from the shared noise dW.
-
-    Y, Yt: (m, d); dW: (m, n), already scaled by sqrt(dt).  Returns the new
-    states plus per-path increments of all bookkeeping accumulators
-    (``dnu`` is returned without the exp(int R^2 G) factor, which the
-    caller applies with its left-point running integral).
-    """
-    m, d = Y.shape
-    # one evaluation of the chart at Y serves the step and the coefficients
-    at = chart.at(t, Y)
-    R, U = at.rho, at.u
-    Rt = np.linalg.norm(Yt, axis=-1)
-    Ut = Yt / Rt[:, None]
-
-    dB = jmaps.apply(U, dW)
-    dBt = jmaps.apply(Ut, dW)
-    dW0 = dW[:, 0]
-    w0_dev = np.maximum(np.abs(np.einsum("mi,mi->m", U, dB) - dW0),
-                        np.abs(np.einsum("mi,mi->m", Ut, dBt) - dW0))
-
-    Y_new = Y + at.sigma_apply(dB) + at.bessel_drift() * dt
-    Yt_new = Yt + dBt
-
-    # inner-product SDE coefficients at the pre-step state
-    sig_dU = at.sigma_apply(U - Ut) - (U - Ut)
-    H = np.linalg.norm(sig_dU, axis=-1) / R ** 2
-    G = at.G()
-
-    # W1 extraction: <(sigma - I) Ut, dB> / (R^2 H); on lanes where the
-    # diffusion term degenerates a fresh independent increment stands in
-    sig_Ut = at.sigma_apply(Ut) - Ut
-    num = np.einsum("mi,mi->m", sig_Ut, dB)
-    den = R ** 2 * H
-    ok = den > 1e-14
-    fallback = np.zeros(m) if fresh_w1 is None else fresh_w1
-    dW1 = np.where(ok, num / np.where(ok, den, 1.0), fallback)
-
-    dG_int = R ** 2 * G * dt
-    dnu = R ** 2 * H ** 2 * dt
-
-    out = {
-        "Y": Y_new, "Yt": Yt_new, "R": R, "Rt": Rt, "U": U, "Ut": Ut,
-        "dB": dB, "dBt": dBt, "dW0": dW0, "dW1": dW1, "H": H, "G": G,
-        "w0_dev": w0_dev, "dG_int": dG_int, "dnu": dnu,
-    }
-
-    if forms is not None:
-        K = forms.alpha_ij(t, Y)
-        dA = _area_increment(Y, Y_new)
-        kd = np.einsum("mij,mij->m", K, dA)
-        out["dM_ito"] = kd
-        out["dM_bracket"] = kd ** 2
-        out["dL"] = forms.beta(t, U) * dt
-        out["dLt"] = forms.beta(t, Ut) * dt
-    else:
-        z = np.zeros(m)
-        out["dM_ito"] = z
-        out["dM_bracket"] = z
-        out["dL"] = z
-        out["dLt"] = z
-    return out
-
-
 def _area_increment(y_old, y_new):
     """Stratonovich midpoint increment of the Levy area matrix,
     dA^ij = ybar^i dy^j - ybar^j dy^i with ybar the step midpoint; exactly
@@ -264,6 +203,65 @@ _RUNNING = {"max_radial_gap": 0.0, "uu_final": 1.0, "uu_pred": 1.0, "sup_udiff":
             "nu": 0.0, "ortho_cov": 0.0, "h2_le_g_violations": 0, "w0_identity_dev": 0.0}
 
 
+def _coupled_advance(chart, jmaps, cfg, forms, gen):
+    """``advance`` of coupled lanes on noise from ``gen``: one Euler step of
+    Y and Yt from the shared dW and one chart evaluation at Y, then one
+    update of each running record.  The lane state holds Y, Yt, the ``_RUNNING``
+    records and Rt = |Yt|, taken at the exit check (|Y| >= delta) and
+    carried into the next step."""
+    d, dt, delta = jmaps.d, cfg.dt, cfg.delta
+    sq = math.sqrt(dt)
+
+    def advance(k, s):
+        t, Y, Yt = k * dt, s["Y"], s["Yt"]
+        dW = sq * gen.standard_normal((Y.shape[0], jmaps.n))
+        w1f = sq * gen.standard_normal(Y.shape[0])
+        at = chart.at(t, Y)
+        R, U = at.rho, at.u
+        Ut = Yt / s["Rt"][:, None]
+        dB = jmaps.apply(U, dW)
+        dBt = jmaps.apply(Ut, dW)
+        w0_dev = np.maximum(np.abs(np.einsum("mi,mi->m", U, dB) - dW[:, 0]),
+                            np.abs(np.einsum("mi,mi->m", Ut, dBt) - dW[:, 0]))
+        Yn = Y + at.sigma_apply(dB) + at.bessel_drift() * dt
+        Ytn = Yt + dBt
+
+        # inner-product SDE coefficients at the pre-step state
+        H = np.linalg.norm(at.sigma_apply(U - Ut) - (U - Ut), axis=-1) / R ** 2
+        G = at.G()
+        # W1 extraction: <(sigma - I) Ut, dB> / (R^2 H); on lanes where the
+        # diffusion term degenerates the fresh independent increment stands in
+        num = np.einsum("mi,mi->m", at.sigma_apply(Ut) - Ut, dB)
+        den = R ** 2 * H
+        ok = den > 1e-14
+        dW1 = np.where(ok, num / np.where(ok, den, 1.0), w1f)
+
+        Rn = np.linalg.norm(Yn, axis=-1)
+        Rtn = np.linalg.norm(Ytn, axis=-1)
+        uu = np.einsum("mi,mi->m", Yn, Ytn) / (Rn * Rtn)
+        run = dict(
+            s, Y=Yn, Yt=Ytn, Rt=Rtn, uu_final=uu,
+            w0_identity_dev=np.maximum(s["w0_identity_dev"], w0_dev),
+            h2_le_g_violations=s["h2_le_g_violations"] + _h2_exceeds_g(H, G, R, d),
+            max_radial_gap=np.maximum(s["max_radial_gap"], np.abs(Rn - Rtn)),
+            uu_pred=s["uu_pred"] + R * H * dW1 - 0.5 * R ** 2 * G * s["uu_pred"] * dt,
+            # nu's increment takes the left-point running integral of R^2 G
+            nu=s["nu"] + R ** 2 * H ** 2 * dt * np.exp(s["G_int"]),
+            G_int=s["G_int"] + R ** 2 * G * dt,
+            sup_udiff=np.maximum(s["sup_udiff"], np.sqrt(np.maximum(2.0 * (1.0 - uu), 0.0))))
+        if forms is not None:
+            kd = np.einsum("mij,mij->m", forms.alpha_ij(t, Y), _area_increment(Y, Yn))
+            run.update(M_ito=s["M_ito"] + kd, M_bracket=s["M_bracket"] + kd ** 2,
+                       L=s["L"] + forms.beta(t, U) * dt,
+                       L_tilde=s["L_tilde"] + forms.beta(t, Ut) * dt)
+        if d >= 2:
+            dA01 = (0.5 * (Y[:, 0] + Yn[:, 0]) * (Yn[:, 1] - Y[:, 1])
+                    - 0.5 * (Y[:, 1] + Yn[:, 1]) * (Yn[:, 0] - Y[:, 0]))
+            run["ortho_cov"] = s["ortho_cov"] + dA01 * (Rn - R)
+        return run, Rn >= delta
+    return advance
+
+
 def martingale_Mp(records, p):
     """M_p(T) = p * Ito area integral - (p^2/2) * accumulated bracket."""
     return p * np.asarray(records.M_ito) - 0.5 * p * p * np.asarray(records.M_bracket)
@@ -288,18 +286,14 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, chunk_range=None)
         raise ConstructionError("bridge correction is not used in coupled runs; "
                                 "the bookkeeping needs exact grid states")
     T, n_steps = cfg.horizon(chart.curve)
-    d = chart.d
-    j = build_J(d)
-    dt = cfg.dt
-    sq = math.sqrt(dt)
-    delta = cfg.delta
+    j, dt, delta = build_J(chart.d), cfg.dt, cfg.delta
 
     parts = []
     for chunk_id, m in _chunks(n_paths, chunk_range):
         gen = _rng.chunk_generator(cfg.seed, chunk_id)
 
         # launch: one plain Gaussian step shared by both processes
-        Y = sq * gen.standard_normal((m, d))
+        Y = math.sqrt(dt) * gen.standard_normal((m, j.d))
         r0 = np.linalg.norm(Y, axis=-1)
         degenerate = r0 < 1e-300
         live = ~degenerate & (r0 < delta)
@@ -307,47 +301,18 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, chunk_range=None)
         tex[~live & ~degenerate] = dt
         lanes = np.nonzero(live)[0]
 
-        def advance(k, s):
-            Y = s["Y"]
-            dW = sq * gen.standard_normal((Y.shape[0], j.n))
-            w1f = sq * gen.standard_normal(Y.shape[0])
-            res = _step_batch(chart, j, k * dt, Y, s["Yt"], dW, dt, forms, fresh_w1=w1f)
-            run = dict(s, Y=res["Y"], Yt=res["Yt"])
-            run["w0_identity_dev"] = np.maximum(s["w0_identity_dev"], res["w0_dev"])
-            run["h2_le_g_violations"] = s["h2_le_g_violations"] + _h2_exceeds_g(
-                res["H"], res["G"], res["R"], d)
-
-            Rn = np.linalg.norm(res["Y"], axis=-1)
-            Rtn = np.linalg.norm(res["Yt"], axis=-1)
-            run["max_radial_gap"] = np.maximum(s["max_radial_gap"], np.abs(Rn - Rtn))
-            run["uu_pred"] = (s["uu_pred"] + res["R"] * res["H"] * res["dW1"]
-                              - 0.5 * res["R"] ** 2 * res["G"] * s["uu_pred"] * dt)
-            run["nu"] = s["nu"] + res["dnu"] * np.exp(s["G_int"])
-            for name, inc in (("G_int", "dG_int"), ("M_ito", "dM_ito"), ("L", "dL"),
-                              ("M_bracket", "dM_bracket"), ("L_tilde", "dLt")):
-                run[name] = s[name] + res[inc]
-            if d >= 2:
-                dA01 = (0.5 * (Y[:, 0] + res["Y"][:, 0]) * (res["Y"][:, 1] - Y[:, 1])
-                        - 0.5 * (Y[:, 1] + res["Y"][:, 1]) * (res["Y"][:, 0] - Y[:, 0]))
-                run["ortho_cov"] = s["ortho_cov"] + dA01 * (Rn - res["R"])
-            uu = np.einsum("mi,mi->m", res["Y"], res["Yt"]) / (Rn * Rtn)
-            run["uu_final"] = uu
-            run["sup_udiff"] = np.maximum(s["sup_udiff"],
-                                          np.sqrt(np.maximum(2.0 * (1.0 - uu), 0.0)))
-            return run, Rn >= delta
-
         # full-length records, copied into at exit and at the end, and the
         # compacted running state of the live lanes
         rec = {k: np.full(m, v) for k, v in _RUNNING.items()}
-        state = {"Y": Y[lanes], "Yt": Y[lanes],
+        state = {"Y": Y[lanes], "Yt": Y[lanes], "Rt": r0[lanes],
                  **{k: np.full(lanes.size, v) for k, v in _RUNNING.items()}}
-        _step_lanes(advance, range(1, n_steps), dt, state, lanes, tex, rec)
-        uu_pred = rec.pop("uu_pred")
+        _step_lanes(_coupled_advance(chart, j, cfg, forms, gen), range(1, n_steps), dt,
+                    state, lanes, tex, rec)
         parts.append(CoupledEnsemble(
             n_paths=m, delta=delta, dt=dt, T=T, survived=np.isnan(tex) & ~degenerate,
             exit_time=tex,
             udiff_final=np.sqrt(np.maximum(2 * (1 - rec["uu_final"]), 0.0)),
-            uu_pred_gap=rec["uu_final"] - uu_pred,
+            uu_pred_gap=rec["uu_final"] - rec.pop("uu_pred"),
             h2_le_g_violations=int(rec.pop("h2_le_g_violations").sum()),
             w0_identity_dev=float(rec.pop("w0_identity_dev").max(initial=0.0)), **rec))
     return CoupledEnsemble.concat(parts)

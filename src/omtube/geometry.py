@@ -1382,25 +1382,17 @@ def curvature_from_chart_fd(chart, t=0.0, h=None):
     """
     d = chart.d
     h = h or 1e-3 * chart.tube_radius
-    coef1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-    off1 = np.array([-2.0, -1.0, 1.0, 2.0])
+    e = np.eye(d)
 
-    # Hessian H[k, l, i, j] = d_k d_l g_ij(0) via nested 4-point stencils
+    def metric_along(l):
+        """x -> d_l g(t, x), the metric differenced along e_l."""
+        return lambda x: _central_diff(lambda y: chart.metric(t, y), x, h, e[l])
+
+    # Hessian H[k, l, i, j] = d_k d_l g_ij(0), a difference of differences
     H = np.zeros((d, d, d, d))
     for k in range(d):
-        ek = np.zeros(d)
-        ek[k] = 1.0
         for l in range(k, d):
-            el = np.zeros(d)
-            el[l] = 1.0
-            acc = np.zeros((d, d))
-            for ck, wk in zip(off1, coef1):
-                inner = np.zeros((d, d))
-                for cl, wl in zip(off1, coef1):
-                    inner += wl * chart.metric(t, ck * h * ek + cl * h * el)
-                acc += wk * inner
-            H[k, l] = acc / (h * h)
-            H[l, k] = H[k, l]
+            H[k, l] = H[l, k] = _central_diff(metric_along(l), np.zeros(d), h, e[k])
     if not np.all(np.isfinite(H)):
         raise NumericError("non-finite metric Hessian in curvature estimate")
     riem = 0.5 * (np.einsum("jkil->ijkl", H) + np.einsum("iljk->ijkl", H)

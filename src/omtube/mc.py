@@ -362,9 +362,10 @@ def conditional_moment_experiment(chart, field, *, deltas, c, T, n_paths,
     All cells share one time step (default: T divided into round steps so
     that dt <= min(delta)^2/50), so the scaled separations are compared at
     identical resolution.  Returns (rows, bounded) where each row is a dict
-    with the estimate and its standard error, and ``bounded`` flags the
-    absence of any increase beyond 3 pooled standard errors as delta
-    decreases.
+    with the estimate and its standard error; ``bounded`` is False when a
+    cell exceeds the one before it in the given order of ``deltas`` by 3
+    pooled standard errors, a check as delta decreases only for descending
+    lists, which nothing enforces (ROADMAP item 14 sorts them).
     """
     if dt is None:
         dt = sde._auto_dt(T, deltas)

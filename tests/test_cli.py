@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from omtube import cli, coupling
+from omtube import cli, coupling, mc
 
 
 def run_cli(argv):
@@ -182,6 +182,25 @@ def test_moment_smoke(tmp_path):
     assert len(doc["results"]["rows"]) == 2
 
 
+def test_moment_honours_dt(tmp_path):
+    # each dt gives the rows of a direct call with that dt
+    argv = ["--model", "sphere", "--dim", "2", "--T", "0.02", "--delta", "0.4,0.3",
+            "--paths", "3000", "--seed", "5"]
+    rows = {}
+    for dt in ("1e-3", "2e-4"):
+        out = tmp_path / f"m{dt}.json"
+        assert run_cli(["moment", *argv, "--dt", dt, "--out", str(out)]) == 0
+        rows[dt] = json.loads(out.read_text())["results"]["rows"]
+        cfg = cli.resolve_config({"model": "sphere", "dim": 2, "T": 0.02,
+                                  "delta": "0.4,0.3", "dt": dt})
+        chart, field = cli._setup(cfg)
+        direct, _ = mc.conditional_moment_experiment(
+            chart, field, deltas=[0.4, 0.3], c=1.0, T=0.02, n_paths=3000, seed=5,
+            dt=float(dt))
+        assert rows[dt] == direct
+    assert rows["1e-3"] != rows["2e-4"]
+
+
 # ---------------------------------------------------------------------------
 # config file, dumps, determinism
 # ---------------------------------------------------------------------------
@@ -200,6 +219,17 @@ def test_config_file_with_flag_override(tmp_path):
     c2 = json.loads(out2.read_text())["config"]
     assert c1["seed"] == 4 and c2["seed"] == 9
     assert c1["paths"] == c2["paths"] == 5000
+
+
+def test_config_file_rejects_unknown_bool(capsys, tmp_path):
+    ini = tmp_path / "run.ini"
+    base = "[run]\nmodel = euclidean\ndim = 1\ndelta = 1.0\nT = 1.0\npaths = 1000\n"
+    ini.write_text(base + "bridge = ture\n")
+    assert run_cli(["smallball", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bridge:") and "'ture'" in err
+    for word, want in [("Off", False), ("YES", True), ("0", False), ("on", True)]:
+        assert cli.resolve_config({"bridge": word})["bridge"] is want
 
 
 def test_artifact_embeds_version_and_config(tmp_path):

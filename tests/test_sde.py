@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from omtube import coupling as cp, geometry as geo, om, sde
+from omtube import _rng, coupling as cp, geometry as geo, om, sde
 from omtube.errors import ChartDomainError, ConstructionError
 
 from conftest import fit_slope
@@ -141,13 +141,20 @@ def test_steps_equal_evaluator_composition(name, request):
                           x + sig + drift * dt)
     assert np.array_equal(sde._make_stepper("y", chart, None, cfg)(t, x, dB),
                           x + sig + chart.bessel_drift(t, x) * dt)
-    # the coupled pair's Y, driven through the J maps at U = x/|x|
+    # the coupled pair's Y, driven through the J maps at U = x/|x| by the dW
+    # of a generator with the same key; |Yt| leaves the step as its Rt
     j = cp.build_J(d)
-    dW = 0.03 * rng.standard_normal((x.shape[0], j.n))
+    k = round(t / dt)
+    state = {"Y": x, "Yt": x[::-1], "Rt": np.linalg.norm(x[::-1], axis=1),
+             **{name: np.full(x.shape[0], v) for name, v in cp._RUNNING.items()}}
+    advance = cp._coupled_advance(chart, j, sde.IntegratorConfig(dt=dt, delta=chart.tube_radius),
+                                  None, _rng.chunk_generator(4, 0))
+    out, _ = advance(k, state)
+    dW = math.sqrt(dt) * _rng.chunk_generator(4, 0).standard_normal((x.shape[0], j.n))
     dB = j.apply(x / np.linalg.norm(x, axis=1, keepdims=True), dW)
-    out = cp._step_batch(chart, j, t, x, x[::-1], dW, dt, None)
-    assert np.array_equal(out["Y"], x + chart.sigma_apply(t, x, dB)
-                          + chart.bessel_drift(t, x) * dt)
+    assert np.array_equal(out["Y"], x + chart.sigma_apply(k * dt, x, dB)
+                          + chart.bessel_drift(k * dt, x) * dt)
+    assert np.array_equal(out["Rt"], np.linalg.norm(out["Yt"], axis=-1))
 
 
 def test_path_sample_invariants(euclid2_chart):
