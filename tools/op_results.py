@@ -5,21 +5,21 @@
 SRC is the ``src`` directory of the checkout to import ``omtube`` from.
 Each workload of this checkout's ``perfbench/workloads.py`` runs one op at
 the harness's tiny sizes with seed 1 and one worker, so two trees run the
-same ops.  Four runs that no workload covers come with them: the results
-of ``omtube couple`` on S2 with the rotational field, the states of five
-single paths of ``sde.simulate_X`` there, the evaluators of the warped
-3-d chart (the metric, the tabulated sigma v, a and c and the
+same ops.  Five runs that no workload covers come with them: the results
+and the resolved configuration of ``omtube couple`` on S2 with the
+rotational field (so flags keep parsing to the same values and types), the
+states of five single paths of ``sde.simulate_X`` there, the evaluators of
+the warped 3-d chart (the metric, the tabulated sigma v, a and c and the
 finite-difference ``om.alpha_kernel`` of its grid chart, and the shot
 chart's metric, sigma v, a and c), whose last bits the ``ratio-warped3``
 survivor counts do not show, and two more finite-difference routes on S2
 (the action of a field without an analytic divergence, and the metric of
 the shooting oracle, whose ambient differences its metric), and every
 record of three coupled ensembles (S2 with and without the rotational
-forms, S3 without), of which the workloads show only a few statistics.
-The output is
-one sorted JSON line holding ``cli.SCHEMA`` and the results, so two trees
-can be compared textually: outputs that are meant to stay fixed are equal,
-or the schema differs.
+forms, S3 without), of which the workloads show only a few statistics. The
+output is one sorted JSON line holding ``cli.SCHEMA`` and the results, so
+two trees can be compared textually: outputs that are meant to stay fixed
+are equal, or the schema differs.
 """
 
 import contextlib
@@ -56,14 +56,16 @@ def main(src):
 
 
 def couple_s2_rot(cli):
-    """The result object of ``omtube couple`` on S2 with the rotational field."""
+    """The results and the config echo of ``omtube couple`` on S2 with the
+    rotational field."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "couple.json"
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["couple", "--model", "sphere", "--curve", "circle:1.0",
                              "--field", "rotational", "--T", "0.05", "--delta", "0.25,0.3",
                              "--paths", "1024", "--seed", "1", "--out", str(out)])
-        return {"code": code, "results": json.loads(out.read_text())["results"]}
+        doc = json.loads(out.read_text())
+        return {"code": code, "config": doc["config"], "results": doc["results"]}
 
 
 def paths_x_s2_rot():
