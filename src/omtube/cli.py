@@ -4,8 +4,12 @@ Every run writes a JSON artifact embedding the schema version, the package
 version, and the fully resolved configuration, so identical (config, seed)
 pairs produce bit-identical artifacts under any worker count
 (``OMTUBE_THREADS`` caps the pool, a fork-inherited process pool, so
-POSIX only).  Flags may be combined with an INI config file (section
-``[run]``); flags override file values.
+POSIX only).  Flags may be combined with an INI config file; flags
+override file values.  The file holds one ``[run]`` section whose keys are
+the flag names, read without regard to case and with ``-`` and ``_`` alike
+(``T``, ``t``, ``tube-radius``, ``tube_radius``).  An unknown key or any
+other section is refused.  Flag and file values are both read as text and
+converted and checked in one place, ``resolve_config``.
 
 Exit codes: 0 success, 2 invalid configuration, 3 estimation failure
 (for example too few surviving paths); on estimation failure the partial
@@ -55,14 +59,22 @@ _DEFAULTS = {
     "max_dump": 100,
 }
 
-_NUMERIC_POSITIVE = ("radius", "curvature_scale", "T", "dt", "paths", "trials",
-                     "tube_radius", "dim", "n_grid")
+_NUMBERS = {**dict.fromkeys(("dim", "paths", "trials", "seed", "n_grid", "max_dump"), int),
+            **dict.fromkeys(("radius", "curvature_scale", "T", "c", "dt", "tube_radius"),
+                            float)}
+
+
+def _number(key, v, kind):
+    try:
+        return kind(v)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key}: expected a number, got {v!r}") from None
 
 
 def _parse_delta(text):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(v) for v in str(text).split(",") if v.strip()]
+    if not isinstance(text, (list, tuple)):
+        text = [v for v in str(text).split(",") if v.strip()]
+    return [_number("delta", v, float) for v in text]
 
 
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -77,29 +89,30 @@ def _parse_bool(key, v):
 
 
 def resolve_config(raw):
-    """Validate raw values and fill defaults; raises ValueError naming the field."""
+    """Convert and validate raw values (text or typed) and fill defaults;
+    raises ValueError naming the field."""
+    for key in raw:
+        if key not in _DEFAULTS:
+            raise ValueError(f"{key}: unknown option")
     cfg = dict(_DEFAULTS)
-    for k, v in raw.items():
-        if v is not None:
-            cfg[k] = v
-    for key in ("dim", "paths", "trials", "seed", "n_grid", "max_dump"):
-        cfg[key] = int(cfg[key])
-    for key in ("radius", "curvature_scale", "T", "c"):
-        cfg[key] = float(cfg[key])
+    cfg.update((k, v) for k, v in raw.items() if v is not None)
+    for key, kind in _NUMBERS.items():
+        if cfg[key] is not None:
+            cfg[key] = _number(key, cfg[key], kind)
     cfg["bridge"] = _parse_bool("bridge", cfg["bridge"])
     cfg["delta"] = _parse_delta(cfg["delta"])
     if not 0 <= cfg["seed"] < 2 ** 64:
         raise ValueError(f"seed: must lie in [0, 2**64), got {cfg['seed']}")
     if not cfg["delta"]:
         raise ValueError("delta: needs at least one value")
-    # every numeric field must be finite; all but c must also be positive
-    numeric = [(key, cfg.get(key)) for key in _NUMERIC_POSITIVE + ("c",)]
+    # numeric fields but seed and max_dump must be finite, all but c positive
+    numeric = [(key, cfg[key]) for key in _NUMBERS if key not in ("seed", "max_dump")]
     for key, v in numeric + [("delta", dv) for dv in cfg["delta"]]:
         if v is None:
             continue
-        if not math.isfinite(float(v)):
+        if not math.isfinite(v):
             raise ValueError(f"{key}: must be finite, got {v}")
-        if key != "c" and float(v) <= 0:
+        if key != "c" and v <= 0:
             raise ValueError(f"{key}: must be positive, got {v}")
     if cfg["model"] not in ("euclidean", "sphere", "hyperbolic", "warped"):
         raise ValueError(f"model: unknown kind {cfg['model']!r}")
@@ -109,18 +122,16 @@ def resolve_config(raw):
         top = max(cfg["delta"])
         bound = 2.5 * top
         if cfg["model"] == "sphere":
-            inj = math.pi * float(cfg["radius"]) / 2
+            inj = math.pi * cfg["radius"] / 2
             if top >= 0.98 * inj:
                 raise ValueError(
                     f"delta: {top} does not fit inside the sphere chart bound {inj:.4g}")
             bound = min(bound, 0.98 * inj)
         cfg["tube_radius"] = max(bound, 1.25 * top)
-    cfg["tube_radius"] = float(cfg["tube_radius"])
     if max(cfg["delta"]) >= cfg["tube_radius"]:
         raise ValueError("delta: must stay below tube_radius")
     if cfg["dt"] is None:
-        cfg["dt"] = sde._auto_dt(cfg["T"], cfg["delta"])
-    cfg["dt"] = float(cfg["dt"])
+        cfg["dt"] = float(sde._auto_dt(cfg["T"], cfg["delta"]))
     return cfg
 
 
@@ -236,7 +247,9 @@ def _cmd_smallball(cfg):
     line = (f"smallball d={cfg['dim']} delta={delta} T={cfg['T']}: "
             f"p_hat {est.p_hat:.5f} +- {est.se:.5f}")
     if ref is not None:
-        line += f"   theta-series {ref:.6f}   z {(est.p_hat - ref) / est.se:+.2f}"
+        line += f"   theta-series {ref:.6f}"
+        if est.se > 0:  # p_hat 0 or 1 has no z
+            line += f"   z {(est.p_hat - ref) / est.se:+.2f}"
     print(line)
     _maybe_dump(cfg, "bm", None, None)
     return {"estimate": est.to_dict(), "theta_reference": ref}, None, 0
@@ -274,7 +287,7 @@ def _cmd_couple(cfg):
     out = []
     for delta in cfg["delta"]:
         ens = mc.run_coupled(chart, field, delta=delta, dt=cfg["dt"], T=cfg["T"],
-                             n_paths=cfg["paths"], seed=cfg["seed"])
+                             n_paths=cfg["paths"], seed=cfg["seed"], with_forms=False)
         oc = ens.ortho_cov
         ose = float(np.std(oc, ddof=1) / math.sqrt(len(oc))) if len(oc) > 1 else 0.0
         ostat = float(np.mean(oc) / ose) if ose > 0 else 0.0
@@ -322,7 +335,7 @@ def _cmd_moment(cfg):
 def _maybe_dump(cfg, kind, chart, field):
     if not cfg.get("dump"):
         return
-    n = min(int(cfg["max_dump"]), cfg["paths"])
+    n = min(cfg["max_dump"], cfg["paths"])
     paths = []
     for i in range(n):
         pc = sde.IntegratorConfig(dt=cfg["dt"], T=cfg["T"], delta=cfg["delta"][0],
@@ -351,7 +364,13 @@ _COMMANDS = {
 # argument parsing
 # ---------------------------------------------------------------------------
 
+_HELP = {"delta": "tube radius or comma list", "out": "JSON artifact path",
+         "csv": "CSV artifact path", "dump": "NDJSON path dump (debugging)"}
+
+
 def build_parser():
+    """One flag ``--x-y`` per config key ``x_y``; values stay text for
+    ``resolve_config``."""
     p = argparse.ArgumentParser(prog="omtube",
                                 description="tube-probability experiments for "
                                             "diffusions on Riemannian manifolds")
@@ -360,38 +379,24 @@ def build_parser():
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="INI file with a [run] section")
-        sp.add_argument("--model", choices=["euclidean", "sphere", "hyperbolic", "warped"])
-        sp.add_argument("--dim", type=int)
-        sp.add_argument("--radius", type=float)
-        sp.add_argument("--curvature-scale", dest="curvature_scale", type=float)
-        sp.add_argument("--profile")
-        sp.add_argument("--curve")
-        sp.add_argument("--field")
-        sp.add_argument("--T", type=float)
-        sp.add_argument("--delta", help="tube radius or comma list")
-        sp.add_argument("--dt", type=float)
-        sp.add_argument("--paths", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--trials", type=int)
-        sp.add_argument("--c", type=float)
-        sp.add_argument("--tube-radius", dest="tube_radius", type=float)
-        sp.add_argument("--n-grid", dest="n_grid", type=int)
-        sp.add_argument("--bridge", dest="bridge", action="store_true", default=None)
+        for key in _DEFAULTS:
+            if key != "bridge":
+                sp.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key))
+        sp.add_argument("--bridge", action="store_true", default=None)
         sp.add_argument("--no-bridge", dest="bridge", action="store_false")
-        sp.add_argument("--scheme", choices=sde.SCHEMES)
-        sp.add_argument("--out", help="JSON artifact path")
-        sp.add_argument("--csv", help="CSV artifact path")
-        sp.add_argument("--dump", help="NDJSON path dump (debugging)")
-        sp.add_argument("--max-dump", dest="max_dump", type=int)
     return p
 
 
 def _load_config_file(path):
+    """The ``[run]`` section of an INI file, keyed by option name."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise ValueError(f"config: cannot read {path!r}")
-    section = "run" if parser.has_section("run") else parser.default_section
-    return dict(parser.items(section))
+    for section in parser.sections():
+        if section != "run":
+            raise ValueError(f"config: unknown section [{section}]; options go in [run]")
+    names = {k.lower(): k for k in _DEFAULTS}
+    return {names.get(k.replace("-", "_"), k): v for k, v in parser.items("run")}
 
 
 def _write_artifacts(cfg, command, result, csv_rows, status):
@@ -414,20 +419,13 @@ def _write_artifacts(cfg, command, result, csv_rows, status):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    raw = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    if args.config:
-        try:
-            file_vals = _load_config_file(args.config)
-        except (ValueError, configparser.Error) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        for k, v in file_vals.items():
-            key = k.replace("-", "_")
-            if raw.get(key) is None:
-                raw[key] = v
+    raw = {k: v for k, v in vars(args).items()
+           if k not in ("command", "config") and v is not None}
     try:
+        if args.config:
+            raw = {**_load_config_file(args.config), **raw}
         cfg = resolve_config(raw)
-    except (ValueError, TypeError) as e:
+    except (ValueError, configparser.Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     fn = _COMMANDS[args.command]

@@ -20,7 +20,7 @@ import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,8 +46,16 @@ __all__ = [
 # result containers
 # ---------------------------------------------------------------------------
 
+class _Result:
+    def to_dict(self):
+        """The fields as plain data, nested results included, without the
+        per-path exit times."""
+        return asdict(self, dict_factory=lambda kv: {k: v for k, v in kv
+                                                     if k != "exit_times"})
+
+
 @dataclass
-class TubeEstimate:
+class TubeEstimate(_Result):
     """Rejection estimate of a tube-survival probability."""
 
     p_hat: float
@@ -61,14 +69,9 @@ class TubeEstimate:
     warning: str = None
     exit_times: np.ndarray = None
 
-    def to_dict(self):
-        return {"p_hat": self.p_hat, "se": self.se, "n_paths": self.n_paths,
-                "n_survive": self.n_survive, "delta": self.delta, "dt": self.dt,
-                "T": self.T, "process": self.process, "warning": self.warning}
-
 
 @dataclass
-class RatioResult:
+class RatioResult(_Result):
     """Tube-probability ratio with its prediction exp(-S(gamma))."""
 
     numerator: TubeEstimate
@@ -83,20 +86,9 @@ class RatioResult:
     def delta(self):
         return self.numerator.delta
 
-    def to_dict(self):
-        return {"numerator": self.numerator.to_dict(),
-                "denominator": self.denominator.to_dict(),
-                "ratio": self.ratio, "ratio_se": self.ratio_se,
-                "predicted": self.predicted, "z_score": self.z_score,
-                "action": {"value": self.action.value,
-                           "error_est": self.action.error_est,
-                           "kinetic": self.action.kinetic,
-                           "divergence": self.action.divergence,
-                           "curvature": self.action.curvature}}
-
 
 @dataclass
-class ExtrapolationResult:
+class ExtrapolationResult(_Result):
     """Weighted fit of log ratio = log limit + a sqrt(delta) + b delta."""
 
     limit: float
@@ -107,15 +99,9 @@ class ExtrapolationResult:
     dof: int
     low_confidence: bool
 
-    def to_dict(self):
-        return {"limit": self.limit, "limit_se": self.limit_se,
-                "coef_sqrt": self.coef_sqrt, "coef_lin": self.coef_lin,
-                "residual": self.residual, "dof": self.dof,
-                "low_confidence": self.low_confidence}
-
 
 @dataclass
-class GirsanovWeightEstimate:
+class GirsanovWeightEstimate(_Result):
     """Conditional mean of exp(M + L) over tube-surviving coupled paths."""
 
     mean_weight: float
@@ -127,13 +113,6 @@ class GirsanovWeightEstimate:
     jensen_lower: float
     n_survive: int
     delta: float
-
-    def to_dict(self):
-        return {"mean_weight": self.mean_weight, "se": self.se,
-                "mean_M": self.mean_M, "mean_L": self.mean_L,
-                "mean_L_tilde": self.mean_L_tilde, "p_holder": self.p_holder,
-                "jensen_lower": self.jensen_lower, "n_survive": self.n_survive,
-                "delta": self.delta}
 
 
 def holder_exponent(delta):

@@ -36,17 +36,18 @@ constant Jacobian A (b = A x - gamma_dot):
 
 with phi = tl^2, psi = (1 - tl^2)/rho^2 and P = phi'(rho)/rho - psi
 (``_RadialScalars.curl_scalars``).  ``alpha_kernel`` integrates these
-scalars over s and needs no evaluation of alpha.  Custom and table fields,
-shot charts and ``PrecomputedChart`` take the finite-difference route
-(``_alpha_kernel_fd``).
+scalars over s and needs no evaluation of alpha.  Custom and table fields
+and ``PrecomputedChart`` take the finite-difference route
+(``_alpha_kernel_fd``).  ``girsanov_forms`` refuses shot charts, where
+that route shoots geodesics for every difference.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, UnitVectorError
-from .geometry import _central_diff, divergence_fd
+from .errors import ConstructionError, NumericError, UnitVectorError
+from .geometry import ShotChart, _central_diff, divergence_fd
 
 __all__ = [
     "DriftField",
@@ -332,5 +333,8 @@ class GirsanovForms:
 
 
 def girsanov_forms(chart, field):
+    if isinstance(chart, ShotChart):  # one kernel call at 32 points takes about 30 s
+        raise ConstructionError("measure-change forms on a shot chart take minutes a "
+                                "step; use geometry.PrecomputedChart(chart)")
     return GirsanovForms(chart=chart, field=field)
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from omtube import cli, coupling, mc
+from omtube import cli, coupling, mc, om
 
 
 def run_cli(argv):
@@ -35,10 +35,34 @@ def test_resolve_round_trips():
     ({"delta": "-0.2"}, "delta"),
     ({"model": "torus"}, "model"),
     ({"delta": "0.5", "tube_radius": 0.4}, "delta"),
+    ({"detla": "0.5"}, "detla: unknown option"),
 ])
 def test_resolve_rejects_bad_values(bad, field):
     with pytest.raises(ValueError, match=field):
         cli.resolve_config(bad)
+
+
+def test_malformed_number_names_its_field(capsys, tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\npaths = 1e4\n")
+    for argv, msg in [(["--paths", "1e4"], "paths: expected a number, got '1e4'"),
+                      (["--T", "one"], "T: expected a number, got 'one'"),
+                      (["--delta", "0.2,x"], "delta: expected a number, got 'x'"),
+                      (["--config", str(ini)], "paths: expected a number, got '1e4'")]:
+        assert run_cli(["smallball", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {msg}"), err
+
+
+def test_parser_leaves_values_as_text(capsys):
+    args = cli.build_parser().parse_args(["ratio", "--paths", "5000", "--T", "0.5",
+                                          "--tube-radius", "0.7", "--no-bridge"])
+    assert (args.paths, args.T, args.tube_radius, args.bridge) == ("5000", "0.5",
+                                                                   "0.7", False)
+    # choices are checked by resolve_config, not by argparse
+    for flag, msg in [("--model", "model: unknown kind"), ("--scheme", "scheme: unknown")]:
+        assert run_cli(["ratio", flag, "torus"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {msg}")
 
 
 def test_invalid_config_exit_code(capsys, tmp_path):
@@ -109,6 +133,20 @@ def test_smallball_artifact(tmp_path, capsys):
     assert "theta-series" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,p_hat", [
+    (["--delta", "0.2", "--T", "1"], 0.0),
+    (["--delta", "25", "--T", "0.01", "--dt", "0.001"], 1.0),
+])
+def test_smallball_zero_se_prints_no_z(tmp_path, capsys, argv, p_hat):
+    out = tmp_path / "sb.json"
+    assert run_cli(["smallball", "--dim", "1", *argv, "--paths", "1000",
+                    "--out", str(out)]) == 0
+    line = capsys.readouterr().out
+    assert "theta-series" in line and " z " not in line
+    est = json.loads(out.read_text())["results"]["estimate"]
+    assert (est["p_hat"], est["se"]) == (p_hat, 0.0)
+
+
 def test_ratio_with_csv_and_extrapolation(tmp_path):
     out = tmp_path / "ratio.json"
     csvp = tmp_path / "ratio.csv"
@@ -162,6 +200,22 @@ def test_couple_csv(tmp_path):
     assert len(rows) == 2
 
 
+def test_couple_builds_no_forms(monkeypatch):
+    def refuse(chart, field):
+        raise AssertionError("couple reads no measure-change form")
+
+    monkeypatch.setattr(om, "girsanov_forms", refuse)
+    assert run_cli(["couple", "--model", "sphere", "--T", "0.05", "--delta", "0.3",
+                    "--paths", "1000", "--field", "rotational"]) == 0
+
+
+def test_weight_refuses_shot_chart(capsys):
+    code = run_cli(["weight", "--model", "warped", "--dim", "3", "--delta", "0.1",
+                    "--T", "2e-4", "--dt", "2e-4", "--paths", "8"])
+    assert code == 2
+    assert "PrecomputedChart" in capsys.readouterr().err
+
+
 def test_weight_smoke(tmp_path):
     out = tmp_path / "w.json"
     code = run_cli(["weight", "--model", "sphere", "--dim", "2", "--T", "0.1",
@@ -208,7 +262,7 @@ def test_moment_honours_dt(tmp_path):
 def test_config_file_with_flag_override(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nmodel = euclidean\ndim = 1\ndelta = 1.0\n"
-                   "T = 1.0\ndt = 1e-3\npaths = 5000\nseed = 4\n")
+                   "T = 0.5\ndt = 1e-3\npaths = 5000\nseed = 4\n")
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     assert run_cli(["smallball", "--config", str(ini), "--out", str(out1)]) == 0
@@ -219,6 +273,36 @@ def test_config_file_with_flag_override(tmp_path):
     c2 = json.loads(out2.read_text())["config"]
     assert c1["seed"] == 4 and c2["seed"] == 9
     assert c1["paths"] == c2["paths"] == 5000
+    assert c1["T"] == c2["T"] == 0.5
+
+
+def test_config_file_matches_flags(tmp_path):
+    values = {"model": "sphere", "curve": "circle:1.0", "field": "rotational",
+              "T": "0.05", "delta": "0.25,0.3", "tube-radius": "0.6", "paths": "1024",
+              "seed": "1"}
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nbridge = off\n"
+                   + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    argv = [a for k, v in values.items() for a in (f"--{k}", v)] + ["--no-bridge"]
+    docs = []
+    for name, args in (("flags", argv), ("file", ["--config", str(ini)])):
+        out = tmp_path / f"{name}.json"
+        assert run_cli(["couple", *args, "--out", str(out)]) == 0
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1]
+    assert json.loads(docs[1])["config"]["T"] == 0.05
+
+
+def test_config_file_refuses_unknown_keys_and_sections(capsys, tmp_path):
+    ini = tmp_path / "run.ini"
+    for text, name in [("[run]\ndetla = 0.5\n", "detla"),
+                       ("[rnu]\ndelta = 0.5\n", "[rnu]"),
+                       ("[run]\ndelta = 0.5\n[Run]\nT = 2\n", "[Run]")]:
+        ini.write_text(text)
+        assert run_cli(["smallball", "--dim", "1", "--paths", "1000",
+                        "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err, err
 
 
 def test_config_file_rejects_unknown_bool(capsys, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from omtube import _rng, coupling, geometry as geo, mc, om, sde
-from omtube.errors import EstimationError, InsufficientSamplesError
+from omtube.errors import ConstructionError, EstimationError, InsufficientSamplesError
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +274,9 @@ def test_pool_runs_shot_chart(warped3_chart, monkeypatch):
         mc.run_coupled, chart=warped3_chart, field=None, delta=0.1, dt=2e-4,
         T=1e-3, n_paths=8, seed=3, with_forms=False)
     _assert_same_ensemble(one, two)
+
+
+def test_run_coupled_refuses_forms_on_shot_chart(warped3_chart):
+    with pytest.raises(ConstructionError, match="PrecomputedChart"):
+        mc.run_coupled(warped3_chart, None, delta=0.1, dt=2e-4, T=2e-4, n_paths=8,
+                       seed=3, with_forms=True)
