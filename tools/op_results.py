@@ -5,7 +5,7 @@
 SRC is the ``src`` directory of the checkout to import ``omtube`` from.
 Each workload of this checkout's ``perfbench/workloads.py`` runs one op at
 the harness's tiny sizes with seed 1 and one worker, so two trees run the
-same ops.  Five runs that no workload covers come with them: the results
+same ops.  Six runs that no workload covers come with them: the results
 and the resolved configuration of ``omtube couple`` on S2 with the
 rotational field (so flags keep parsing to the same values and types), the
 states of five single paths of ``sde.simulate_X`` there, the evaluators of
@@ -16,8 +16,11 @@ survivor counts do not show, and two more finite-difference routes on S2
 (the action of a field without an analytic divergence, and the metric of
 the shooting oracle, whose ambient differences its metric), and every
 record of three coupled ensembles (S2 with and without the rotational
-forms, S3 without), of which the workloads show only a few statistics. The
-output is one sorted JSON line holding ``cli.SCHEMA`` and the results, so
+forms, S3 without), of which the workloads show only a few statistics, and
+the difference and RK4 routes that nothing else reaches (the Stokes
+consistency, finite-difference kernel and divergence of a cubic field on
+S2, the derivative of a custom profile, and the transported frame velocity
+of a circle on H3).  The output is one sorted JSON line holding ``cli.SCHEMA`` and the results, so
 two trees can be compared textually: outputs that are meant to stay fixed
 are equal, or the schema differs.
 """
@@ -52,6 +55,7 @@ def main(src):
     results["warped3-evaluators"] = warped3_evaluators()
     results["s2-difference-routes"] = s2_difference_routes()
     results["coupled-records"] = coupled_records()
+    results["difference-routes"] = difference_routes()
     print(json.dumps({"schema": cli.SCHEMA, "results": results}, sort_keys=True))
 
 
@@ -151,6 +155,42 @@ def coupled_records():
                      "w0_identity_dev": ens.w0_identity_dev,
                      **{k: getattr(ens, k).tolist() for k in coupling.RECORDS}}
     return out
+
+
+def difference_routes():
+    """For a cubic field without an analytic divergence along the great
+    circle of S2: ``coupling.stokes_consistency`` of one recorded X path
+    (its forms take the finite-difference kernel), and ``om.alpha_kernel``
+    and ``geometry.divergence_fd`` at three points.  Also ``Profile.deriv``
+    of a custom callable at three radii, and ``velocity_frame`` at three
+    times of an embedded circle of geodesic radius 0.3 on H3, whose frame
+    is transported by RK4."""
+    import math
+
+    import numpy as np
+    from omtube import coupling, geometry, om, sde
+
+    s2 = geometry.sphere(2, 1.0)
+    chart = geometry.fermi_chart(s2, geometry.great_circle_curve(s2, 1.0, 0.03), 0.75)
+    cubic = om.DriftField(d=2, f=lambda t, x: np.stack(
+        [0.5 * x[..., 1] ** 3 - x[..., 0], x[..., 0] ** 2 * x[..., 1] + 0.2 + t], axis=-1))
+    path = sde.simulate_X(chart, cubic, sde.IntegratorConfig(
+        dt=0.0015, T=0.03, delta=0.3, bridge_correction=True, seed=1, path_index=0))
+    stokes = coupling.stokes_consistency(chart, om.girsanov_forms(chart, cubic), path)
+    pts = np.array([[0.01, -0.03], [0.11, 0.07], [-0.13, 0.02]])
+    divergence = geometry.divergence_fd(lambda p: cubic(0.01, p), pts, 1e-4 * chart.tube_radius)
+    profile = geometry.Profile(name="custom", f=lambda r: 1.0 + 0.3 * r * r * np.cos(r))
+
+    a = math.sinh(0.3)  # the circle of geodesic radius 0.3 about (1, 0, 0, 0)
+    circle = geometry.embedded_curve(
+        lambda t: np.array([math.cosh(0.3), a * math.cos(t), a * math.sin(t), 0.0]),
+        lambda t: np.array([0.0, -a * math.sin(t), a * math.cos(t), 0.0]), T=1.0)
+    h3 = geometry.fermi_chart(geometry.hyperbolic(3, 1.0), circle, 0.5)
+    return {"stokes": stokes, "exit_time": path.exit_time,
+            "alpha_kernel": om.alpha_kernel(chart, cubic, 0.01, pts).tolist(),
+            "divergence_fd": divergence.tolist(),
+            "profile_deriv": profile.deriv(np.array([0.0, 0.2, 0.45])).tolist(),
+            "h3_velocity_frame": [h3.velocity_frame(t).tolist() for t in (0.0, 0.37, 0.9)]}
 
 
 if __name__ == "__main__":
