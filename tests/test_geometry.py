@@ -556,6 +556,26 @@ def test_embedded_transport_matches_great_circle():
         assert abs(abs(v[0]) - 0.5) < 1e-6  # tangent direction is parallel
 
 
+@pytest.mark.parametrize("s", [1.0, 2.0])
+def test_embedded_transport_on_hyperboloid(s):
+    # a unit-speed geodesic keeps its velocity as the first frame vector, and
+    # a circle of geodesic radius a keeps the speed s sinh(a/s)
+    model = geo.hyperbolic(3, s)
+    geodesic = geo.embedded_curve(
+        lambda t: np.array([s * math.cosh(t / s), s * math.sinh(t / s), 0.0, 0.0]),
+        lambda t: np.array([math.sinh(t / s), math.cosh(t / s), 0.0, 0.0]), T=1.0)
+    a = 0.3
+    r = s * math.sinh(a / s)
+    circle = geo.embedded_curve(
+        lambda t: np.array([s * math.cosh(a / s), r * math.cos(t), r * math.sin(t), 0.0]),
+        lambda t: np.array([0.0, -r * math.sin(t), r * math.cos(t), 0.0]), T=1.0)
+    along = geo.fermi_chart(model, geodesic, 0.5)
+    around = geo.fermi_chart(model, circle, 0.5)
+    for t in (0.0, 0.13, 0.5, 0.77, 1.0):
+        assert np.max(np.abs(along.velocity_frame(t) - [1.0, 0.0, 0.0])) < 1e-10
+        assert abs(np.linalg.norm(around.velocity_frame(t)) - r) < 1e-10
+
+
 def test_line_curve_velocity(euclid2_chart):
     ch = geo.fermi_chart(geo.euclidean(2), geo.line_curve([2.0, -1.0], 1.0), 1.0)
     assert np.allclose(ch.velocity_frame(0.4), [2.0, -1.0])
