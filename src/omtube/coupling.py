@@ -368,8 +368,7 @@ def stokes_consistency(chart, forms, path):
     line - area, which vanishes at discretization order for autonomous
     configurations.
     """
-    from .om import alpha_form
-    from numpy.polynomial.legendre import leggauss
+    from .om import _gauss_legendre_01, alpha_form
 
     y = np.asarray(path.states, dtype=float)
     times = np.asarray(path.times, dtype=float)
@@ -391,11 +390,8 @@ def stokes_consistency(chart, forms, path):
     # closing radial segment from y(T) back to the origin at frozen time
     yT = y[-1]
     tT = times[-1]
-    nodes, weights = leggauss(16)
-    s = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
     seg = 0.0
-    for sv, wv in zip(s, w):
+    for sv, wv in zip(*_gauss_legendre_01(16)):
         seg += wv * float(alpha_form(chart, forms.field, tT, sv * yT) @ yT)
     line -= seg
     return line - area

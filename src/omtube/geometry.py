@@ -98,9 +98,26 @@ __all__ = [
 ]
 
 
-def _central_diff(f, x, h, e=1.0):
-    """4th-order central difference of f at x along e, step h."""
-    return (f(x - 2 * h * e) - 8 * f(x - h * e) + 8 * f(x + h * e) - f(x + 2 * h * e)) / (12 * h)
+def _jacobian(f, x, h):
+    """out[..., j] = d_j f(x) for points x of shape (..., d): 4th-order
+    central differences of step h, four calls of f per axis."""
+    x = np.asarray(x, dtype=float)
+    return np.stack([(f(x - 2 * h * e) - 8 * f(x - h * e) + 8 * f(x + h * e)
+                      - f(x + 2 * h * e)) / (12 * h) for e in np.eye(x.shape[-1])], axis=-1)
+
+
+def _rk4(rate, t0, state, h, n):
+    """n classical RK4 steps of size h of a state given as a list of arrays,
+    d state / dt = rate(t, state); step j starts at t = t0 + j h."""
+    for j in range(n):
+        t = t0 + j * h
+        k1 = rate(t, state)
+        k2 = rate(t + h / 2, [a + h / 2 * k for a, k in zip(state, k1)])
+        k3 = rate(t + h / 2, [a + h / 2 * k for a, k in zip(state, k2)])
+        k4 = rate(t + h, [a + h * k for a, k in zip(state, k3)])
+        state = [a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +129,9 @@ class Profile:
     """Smooth even radial profile p(rho) with optional analytic derivatives.
 
     Evenness at 0 (p'(0) = 0) keeps the diagonal metric smooth across the
-    origin of the model's coordinates.  Derivatives fall back to high-order
-    finite differences when not supplied.
+    origin of the model's coordinates.  Derivatives fall back to 4th-order
+    central differences when not supplied: p' of p with step 1e-4, p'' of
+    p' with step 1e-3.
     """
 
     name: str
@@ -127,14 +145,12 @@ class Profile:
     def deriv(self, rho):
         if self.df is not None:
             return self.df(rho)
-        return _central_diff(self.f, rho, 1e-4)
+        return _jacobian(self.f, np.asarray(rho, dtype=float)[..., None], 1e-4)[..., 0, 0]
 
     def deriv2(self, rho):
         if self.d2f is not None:
             return self.d2f(rho)
-        h = 1e-3
-        return (-self.f(rho - 2 * h) + 16 * self.f(rho - h) - 30 * self.f(rho)
-                + 16 * self.f(rho + h) - self.f(rho + 2 * h)) / (12 * h * h)
+        return _jacobian(self.deriv, np.asarray(rho, dtype=float)[..., None], 1e-3)[..., 0, 0]
 
 
 def _bump(a):
@@ -406,7 +422,6 @@ def constant_curve(T, point=None, n_grid=64):
         T=T, n_grid=n_grid, kind="constant", params={"point": pt},
         gamma=(lambda t, p=pt: p) if pt is not None else None,
         gamma_dot=(lambda t, p=pt: np.zeros_like(p)) if pt is not None else None,
-        vframe=lambda t: None,  # replaced by the chart with zeros of the right dim
     )
 
 
@@ -672,11 +687,8 @@ class CallableAmbient:
         return np.linalg.inv(self.metric(y))
 
     def _dmetric(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape[:-1] + (self.d, self.d, self.d))
-        for m, e in enumerate(np.eye(self.d)):
-            out[..., m, :, :] = _central_diff(self.metric_fn, y, self.h, e)
-        return out  # [..., m, i, j] = d_m g_ij
+        # [..., m, i, j] = d_m g_ij
+        return np.moveaxis(_jacobian(self.metric_fn, y, self.h), -1, -3)
 
     def christoffel(self, y):
         dg = self._dmetric(y)
@@ -731,8 +743,8 @@ def ambient_curvature(ambient, y):
 # ---------------------------------------------------------------------------
 
 def _transport(curve, E, rhs, components):
-    """RK4-transport the frame E (columns) with dE/dt = rhs(t, E) over the
-    curve grid, four steps per cell.  Returns cubic splines in t of the
+    """Transport the frame E (columns) with dE/dt = rhs(t, E) over the curve
+    grid, four RK4 steps per cell.  Returns cubic splines in t of the
     frames and of components(t, E), the frame components of gamma_dot."""
     from scipy.interpolate import CubicSpline
 
@@ -740,16 +752,8 @@ def _transport(curve, E, rhs, components):
     n_sub = 4
     frames = [E.copy()]
     vfr = [components(grid[0], E)]
-    for k in range(len(grid) - 1):
-        t0, t1 = grid[k], grid[k + 1]
-        h = (t1 - t0) / n_sub
-        for j in range(n_sub):
-            t = t0 + j * h
-            k1 = rhs(t, E)
-            k2 = rhs(t + h / 2, E + h / 2 * k1)
-            k3 = rhs(t + h / 2, E + h / 2 * k2)
-            k4 = rhs(t + h, E + h * k3)
-            E = E + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        E, = _rk4(lambda t, s: [rhs(t, s[0])], t0, [E], (t1 - t0) / n_sub, n_sub)
         frames.append(E.copy())
         vfr.append(components(t1, E))
     return (CubicSpline(grid, np.array(frames), axis=0),
@@ -857,10 +861,7 @@ class MetricChart:
 
     def velocity_frame(self, t):
         """Frame components of gamma_dot(t)."""
-        v = self._vframe(t)
-        if v is None:
-            return np.zeros(self.d)
-        return np.asarray(v, dtype=float)
+        return np.asarray(self._vframe(t), dtype=float)
 
     # -- supplied by subclasses -----------------------------------------------
 
@@ -1003,10 +1004,8 @@ class _NumericPoint(_MatrixPoint):
             g = chart.metric(t, p)
             return _sqrt_det(g)[..., None, None] * np.linalg.inv(g)
 
-        out = np.zeros_like(self.x)
-        for j, e in enumerate(np.eye(chart.d)):
-            out += _central_diff(flux, self.x, 1e-3 * chart.tube_radius, e)[..., :, j]
-        return 0.5 * out / sq[..., None]
+        div = np.trace(_jacobian(flux, self.x, 1e-3 * chart.tube_radius), axis1=-2, axis2=-1)
+        return 0.5 * div / sq[..., None]
 
 
 class _GridPoint(_MatrixPoint):
@@ -1134,21 +1133,14 @@ class ShotChart(MetricChart):
         state = (y, v, np.zeros((m, d, d)), np.broadcast_to(E, (m, d, d)).copy())
         speed = float(np.max(np.linalg.norm(X, axis=1), initial=0.0))
         n = max(12, int(math.ceil(speed / _SHOT_MAX_STEP)))
-        h = 1.0 / n
         acc, jvp = self.ambient.geodesic_acc, self.ambient.geodesic_jvp
 
-        def rate(s):
+        def rate(_, s):
             y, v, J, Jd = s
             return v, acc(y, v), Jd, jvp(y, v, J, Jd)
 
-        for _ in range(n):
-            k1 = rate(state)
-            k2 = rate([a + 0.5 * h * k for a, k in zip(state, k1)])
-            k3 = rate([a + 0.5 * h * k for a, k in zip(state, k2)])
-            k4 = rate([a + h * k for a, k in zip(state, k3)])
-            state = [a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
-                     for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
-        return state[0], state[2]
+        y, _, J, _ = _rk4(rate, 0.0, state, 1.0 / n, n)
+        return y, J
 
     def metric(self, t, x):
         X = np.asarray(x, dtype=float)
@@ -1382,17 +1374,12 @@ def curvature_from_chart_fd(chart, t=0.0, h=None):
     """
     d = chart.d
     h = h or 1e-3 * chart.tube_radius
-    e = np.eye(d)
 
-    def metric_along(l):
-        """x -> d_l g(t, x), the metric differenced along e_l."""
-        return lambda x: _central_diff(lambda y: chart.metric(t, y), x, h, e[l])
+    def dmetric(x):  # [..., i, j, l] = d_l g_ij(t, x)
+        return _jacobian(lambda y: chart.metric(t, y), x, h)
 
     # Hessian H[k, l, i, j] = d_k d_l g_ij(0), a difference of differences
-    H = np.zeros((d, d, d, d))
-    for k in range(d):
-        for l in range(k, d):
-            H[k, l] = H[l, k] = _central_diff(metric_along(l), np.zeros(d), h, e[k])
+    H = np.transpose(_jacobian(dmetric, np.zeros(d), h), (3, 2, 0, 1))
     if not np.all(np.isfinite(H)):
         raise NumericError("non-finite metric Hessian in curvature estimate")
     riem = 0.5 * (np.einsum("jkil->ijkl", H) + np.einsum("iljk->ijkl", H)
@@ -1403,12 +1390,9 @@ def curvature_from_chart_fd(chart, t=0.0, h=None):
 
 
 def divergence_fd(fn, x, h):
-    """Divergence of a vector field by 4th-order central differences."""
-    x = np.asarray(x, dtype=float)
-    s = 0.0
-    for j, e in enumerate(np.eye(x.shape[-1])):
-        s = s + _central_diff(fn, x, h, e)[..., j]
-    return s
+    """Divergence sum_j d_j fn_j of a vector field at points x of shape
+    (..., d): the trace of its 4th-order central-difference Jacobian, step h."""
+    return np.trace(_jacobian(fn, x, h), axis1=-2, axis2=-1)
 
 
 _EXPANSION_QUANTITIES = ("sigma_minus_expansion", "div_a_minus_limit", "div_c_minus_limit")

@@ -43,11 +43,12 @@ that route shoots geodesics for every difference.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import ConstructionError, NumericError, UnitVectorError
-from .geometry import ShotChart, _central_diff, divergence_fd
+from .geometry import ShotChart, _jacobian, divergence_fd
 
 __all__ = [
     "DriftField",
@@ -251,14 +252,11 @@ def alpha_form(chart, field, t, x):
     return np.einsum("...ij,...j->...i", g, at.coriolis() + b - at.bessel_drift())
 
 
-_GL_CACHE = {}
-
-
+@cache
 def _gauss_legendre_01(n):
-    if n not in _GL_CACHE:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (0.5 * (nodes + 1.0), 0.5 * weights)
-    return _GL_CACHE[n]
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def alpha_kernel(chart, field, t, x, n_gauss=8):
@@ -301,20 +299,16 @@ def _alpha_kernel_fd(chart, field, t, x, n_gauss=8):
     ``alpha_form`` (step 1e-3 of the tube radius); valid for any chart and
     field."""
     x = np.asarray(x, dtype=float)
-    d = chart.d
     h = 1e-3 * chart.tube_radius
     nodes, weights = _gauss_legendre_01(n_gauss)
-    K = np.zeros(x.shape[:-1] + (d, d))
+    K = np.zeros(x.shape[:-1] + (chart.d, chart.d))
 
     def form(p):
         return alpha_form(chart, field, t, p)
 
     for s, w in zip(nodes, weights):
-        pts = s * x
-        D = np.empty(x.shape[:-1] + (d, d))  # D[..., i, j] = d_i alpha_j at s x
-        for i, e in enumerate(np.eye(d)):
-            D[..., i, :] = _central_diff(form, pts, h, e)
-        K += (w * s) * (D - np.swapaxes(D, -1, -2))
+        J = _jacobian(form, s * x, h)  # J[..., j, i] = d_i alpha_j at s x
+        K += (w * s) * (np.swapaxes(J, -1, -2) - J)
     return 0.5 * K
 
 
