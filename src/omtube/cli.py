@@ -66,9 +66,13 @@ _NUMBERS = {**dict.fromkeys(("dim", "paths", "trials", "seed", "n_grid", "max_du
 
 def _number(key, v, kind):
     try:
-        return kind(v)
-    except (TypeError, ValueError):
+        n = kind(v)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key}: expected a number, got {v!r}") from None
+    # no bools, and no Python floats that int() would truncate
+    if kind is int and (isinstance(v, bool) or not isinstance(v, str) and n != v):
+        raise ValueError(f"{key}: expected an integer, got {v!r}")
+    return n
 
 
 def _parse_delta(text):
@@ -105,8 +109,8 @@ def resolve_config(raw):
         raise ValueError(f"seed: must lie in [0, 2**64), got {cfg['seed']}")
     if not cfg["delta"]:
         raise ValueError("delta: needs at least one value")
-    # numeric fields but seed and max_dump must be finite, all but c positive
-    numeric = [(key, cfg[key]) for key in _NUMBERS if key not in ("seed", "max_dump")]
+    # numeric fields but seed must be finite, all but c positive
+    numeric = [(key, cfg[key]) for key in _NUMBERS if key != "seed"]
     for key, v in numeric + [("delta", dv) for dv in cfg["delta"]]:
         if v is None:
             continue

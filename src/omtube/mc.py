@@ -8,11 +8,11 @@ splitting), binomial standard errors, numerator and denominator legs always
 sharing the time step and the exit-monitoring scheme so the
 discrete-monitoring bias cancels in the ratio.  All estimators are
 deterministic functions of (seed, configuration), and ensembles can fan
-out over a process pool (``OMTUBE_THREADS`` workers) without changing any
-output bit: chunk streams are keyed by path block, and reductions are
-combined in block order.  The pool forks its workers, which inherit the
-caller's chart, field and forms, so any chart or field pools; it needs a
-POSIX ``fork``, and elsewhere one worker runs every slice.
+out over a process pool (``OMTUBE_THREADS`` workers, an integer >= 1)
+without changing any output bit: chunk streams are keyed by path block,
+and reductions are combined in block order.  The pool forks its workers,
+which inherit the caller's chart, field and forms, so any chart or field
+pools; it needs a POSIX ``fork``, and elsewhere one worker runs every slice.
 """
 
 import math
@@ -130,10 +130,9 @@ def _resolve_threads(threads):
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("OMTUBE_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ConstructionError(f"OMTUBE_THREADS: expected an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def _chunk_slices(n_paths, threads):

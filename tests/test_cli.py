@@ -20,6 +20,9 @@ def test_resolve_defaults():
     cfg = cli.resolve_config({"delta": "0.2"})
     assert cfg["delta"] == [0.2]
     assert cfg["dt"] is not None and cfg["dt"] <= 0.2 ** 2 / 50 + 1e-15
+    # an integral float is an integer
+    cfg = cli.resolve_config({"paths": 2.0, "delta": "0.2"})
+    assert cfg["paths"] == 2 and type(cfg["paths"]) is int
 
 
 def test_resolve_round_trips():
@@ -36,6 +39,8 @@ def test_resolve_round_trips():
     ({"model": "torus"}, "model"),
     ({"delta": "0.5", "tube_radius": 0.4}, "delta"),
     ({"detla": "0.5"}, "detla: unknown option"),
+    ({"paths": 2.7, "delta": "0.2"}, "paths: expected an integer, got 2.7"),
+    ({"dim": True, "delta": "0.2"}, "dim: expected an integer, got True"),
 ])
 def test_resolve_rejects_bad_values(bad, field):
     with pytest.raises(ValueError, match=field):
@@ -348,7 +353,7 @@ def test_artifact_bit_identical_across_runs_and_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_dump_ndjson_capped(tmp_path):
+def test_dump_ndjson_capped(tmp_path, capsys):
     dump = tmp_path / "paths.ndjson"
     code = run_cli(["smallball", "--dim", "1", "--delta", "1", "--T", "0.2",
                     "--dt", "1e-2", "--paths", "2000", "--seed", "3",
@@ -358,6 +363,25 @@ def test_dump_ndjson_capped(tmp_path):
     assert len(lines) == 7
     rec = json.loads(lines[0])
     assert "times" in rec and "states" in rec
+    empty = tmp_path / "empty.ndjson"
+    for n in ("-1", "0"):
+        code = run_cli(["smallball", "--dim", "1", "--delta", "1", "--T", "0.2",
+                        "--dt", "1e-2", "--paths", "1000", "--dump", str(empty),
+                        "--max-dump", n])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: max_dump: must be positive, got {n}")
+    assert not empty.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "1.5"])
+def test_bad_thread_count_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("OMTUBE_THREADS", value)
+    code = run_cli(["smallball", "--dim", "1", "--delta", "1", "--T", "0.2",
+                    "--dt", "1e-2", "--paths", "1000"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: OMTUBE_THREADS: expected an integer >= 1, got {value!r}")
+    assert mc._resolve_threads(3) == 3  # the argument still overrides the variable
 
 
 def test_console_entry_point():
