@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, coupling, geometry, mc, om, sde
 from .errors import ConstructionError, EstimationError, OmtubeError
 
-SCHEMA = 4
+SCHEMA = 5
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +70,8 @@ def _number(key, v, kind):
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key}: expected a number, got {v!r}") from None
     # no bools, and no Python floats that int() would truncate
-    if kind is int and (isinstance(v, bool) or not isinstance(v, str) and n != v):
-        raise ValueError(f"{key}: expected an integer, got {v!r}")
+    if isinstance(v, bool) or kind is int and not isinstance(v, str) and n != v:
+        raise ValueError(f"{key}: expected {'an integer' if kind is int else 'a number'}, got {v!r}")
     return n
 
 

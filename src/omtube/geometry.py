@@ -43,8 +43,8 @@ every chart: it evaluates the metric once per point, at x (whose g^-1 gives
 sigma by eigendecomposition and c by its trace) and at each point of the
 4th-order Coriolis stencil.  A ``RadialChart`` point computes rho = |x|,
 u = x/rho and 1/tl(rho) once and holds every radial formula, G in closed
-form.  A ``PrecomputedChart`` point looks sigma up once and a in one
-lookup, and takes c from that sigma (tr g^-1 = sum_ij sigma_ij^2).
+form.  A ``PrecomputedChart`` point looks sigma and a up in one lookup,
+and takes c from that sigma (tr g^-1 = sum_ij sigma_ij^2).
 
 Conventions.  ``metric`` is the matrix (g_ij) defining lengths,
 ``metric_inv`` = (g^ij) is the diffusion coefficient, and
@@ -1009,19 +1009,23 @@ class _NumericPoint(_MatrixPoint):
 
 
 class _GridPoint(_MatrixPoint):
-    """``PrecomputedChart.at``: sigma from its table, looked up once; a from
-    its own table; tr g^-1 = sum_ij sigma_ij^2 from that same sigma."""
+    """``PrecomputedChart.at``: sigma and a from one lookup of their joint
+    table; tr g^-1 = sum_ij sigma_ij^2 from that same sigma."""
+
+    @cached_property
+    def _row(self):
+        return self._chart._step_table(self.x)
 
     @cached_property
     def sigma(self):
-        return _unpack_sym(self._chart._sigma(self.x), self.d)
+        return _unpack_sym(self._row[..., :-self.d], self.d)
 
     @property
     def _trace_g_inv(self):
         return np.einsum("...ij,...ij->...", self.sigma, self.sigma)
 
     def coriolis(self):
-        return self._chart._a(self.x)
+        return self._row[..., -self.d:]
 
 
 class _RadialPoint(_Point):
@@ -1185,54 +1189,79 @@ def _node_derivative(f, axis, h):
 class _GridTable:
     """Cubic B-spline interpolant of a k-component field on the cube
     [-bound, bound]^d, from its ``values`` of shape (n,) * d + (k,) on ``n``
-    equally spaced nodes per axis.  A call maps points (..., d) to (..., k).
+    equally spaced nodes per axis: the interpolant of ``scipy.ndimage`` in
+    mode "mirror" (Unser 1999, *IEEE SPM* 16(6)), with coefficients from the
+    mirror-ended collocation system [1 4 1]/6 along each axis.  A call maps
+    points (..., d) to (..., k) and raises ``ChartDomainError`` outside the
+    cube.  It gathers the 4^d neighbours of 2,048 points at a time (9.4 MB
+    for a 3-d table of 9 components) for all components at once, and
+    contracts them with the weights point by point, so a point's value does
+    not depend on its batch.
     """
 
-    def __init__(self, values, bound):
-        # imported after sampling: imported before it, scipy raised the peak
-        # memory of a 15-node warped 3-d chart build by about 30 %
-        from scipy import ndimage
+    _BLOCK = 2048
 
-        n = values.shape[0]
+    def __init__(self, values, bound):
+        n, d = values.shape[0], values.ndim - 1
+        collocation = (4 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 6
+        collocation[0, 1] = collocation[-1, -2] = 2 / 6
+        solve = np.linalg.inv(collocation)
+        for axis in range(d):
+            values = np.moveaxis(np.tensordot(solve, values, axes=(1, axis)), 0, axis)
+        padded = np.pad(values, [(1, 2)] * d + [(0, 0)], mode="reflect")
         self.bound = float(bound)
         self.scale = (n - 1) / (2 * self.bound)
-        self.coeffs = [ndimage.spline_filter(values[..., k], order=3, mode="mirror")
-                       for k in range(values.shape[-1])]
+        self._flat = padded.reshape(-1, values.shape[-1])
+        self._strides = (n + 3) ** np.arange(d - 1, -1, -1)
+        self._offsets = (np.indices((4,) * d).reshape(d, -1).T @ self._strides)
 
     def __call__(self, x):
-        from scipy import ndimage
-
         x = np.asarray(x, dtype=float)
-        flat = ((x + self.bound) * self.scale).reshape(-1, x.shape[-1]).T
-        out = np.empty(x.shape[:-1] + (len(self.coeffs),))
-        for k, coeffs in enumerate(self.coeffs):
-            out[..., k] = ndimage.map_coordinates(
-                coeffs, flat, order=3, prefilter=False, mode="mirror").reshape(x.shape[:-1])
-        return out
+        if not np.all(np.abs(x) <= self.bound):
+            raise ChartDomainError(f"grid chart evaluated outside its cube |x_i| <= {self.bound}")
+        u = ((x + self.bound) * self.scale).reshape(-1, x.shape[-1])
+        out = np.empty((len(u), self._flat.shape[1]))
+        for s in range(0, len(u), self._BLOCK):
+            out[s:s + self._BLOCK] = self._lookup(u[s:s + self._BLOCK])
+        return out.reshape(x.shape[:-1] + out.shape[1:])
+
+    def _lookup(self, u):
+        cell = np.floor(u)
+        t = u - cell
+        w = np.stack([(1 - t) ** 3, (3 * t - 6) * t * t + 4,
+                      ((3 - 3 * t) * t + 3) * t + 1, t ** 3], axis=-1) / 6
+        weights = w[:, 0]
+        for axis in range(1, u.shape[1]):
+            weights = (weights[:, :, None] * w[:, axis, None, :]).reshape(len(u), -1)
+        base = cell.astype(np.intp) @ self._strides
+        vals = np.take(self._flat, base[:, None] + self._offsets, axis=0)
+        return np.matmul(weights[:, None, :], vals)[:, 0]
 
 
 class PrecomputedChart(MetricChart):
     """Grid-sampled stand-in for a (time-independent) shot chart.
 
-    Samples the base chart's metric once on ``n_nodes`` nodes per axis of
-    the cube [-tube_radius, tube_radius]^d -- from a ``ShotChart``, one
-    geodesic per node, whose variational equation gives the Jacobian of the
-    exponential map there, with no difference stencil -- and tabulates, as
-    cubic B-splines of those node values: g (for ``metric``, ``metric_inv`` and
-    ``sqrt_det``), sigma = (g^-1)^(1/2), and the Coriolis drift
-    a^i = (1/2) sum_j d_j(sqrt(g) g^ij) / sqrt(g), whose derivatives are
-    4th-order differences of the node values (central inside, one-sided on
-    the two outer layers of nodes), not of the spline, whose mirror boundary
-    would bend them near the cube faces.  The Besselization drift comes from
-    the looked-up sigma, as tr g^-1 = sum_ij sigma_ij^2; a table of c would
-    interpolate poorly, since c is a cone at the origin on non-Einstein
-    models.  A step makes 6 lookups for sigma and 3 for a, and no inverse,
-    determinant or eigendecomposition.  Interpolation error is a few parts
-    in 1e6 at the default resolution.  Use an odd ``n_nodes``: an even grid
-    has no node at the origin, where the exact g = I, and c = (d - tr g^-1)
-    x / (2 rho^2) divides the interpolation error of tr g^-1 by rho^2, so
-    its error grows like 1/|x| towards the origin (on a warped 3-d chart,
-    1.7e-3 at |x| = 1e-4 with 16 nodes against 1.5e-5 with 15).
+    Samples the base chart's metric once on ``n_nodes`` nodes per axis of the
+    cube [-tube_radius, tube_radius]^d -- from a ``ShotChart``, one geodesic
+    per node, whose variational equation gives the Jacobian of the exponential
+    map there, with no difference stencil -- and tabulates, as cubic B-splines
+    of those node values (numpy only, no scipy): g (for ``metric``,
+    ``metric_inv`` and ``sqrt_det``), and in one table sigma = (g^-1)^(1/2)
+    and the Coriolis drift a^i = (1/2) sum_j d_j(sqrt(g) g^ij) / sqrt(g),
+    whose derivatives are 4th-order differences of the node values (central
+    inside, one-sided on the two outer layers of nodes), not of the spline,
+    whose mirror boundary would bend them near the cube faces.  The
+    Besselization drift comes from the looked-up sigma, as tr g^-1 =
+    sum_ij sigma_ij^2; a table of c would interpolate poorly, since c is a
+    cone at the origin on non-Einstein models.  A step makes one lookup, for
+    sigma and a together, and no inverse, determinant or eigendecomposition.
+    Points outside the cube raise ``ChartDomainError``.  Interpolation error
+    is a few parts in 1e6 at the default resolution.  Use an odd ``n_nodes``:
+    an even grid has no node at the origin, where the exact g = I, and
+    c = (d - tr g^-1) x / (2 rho^2) divides the interpolation error of
+    tr g^-1 by rho^2, so its error grows like 1/|x| towards the origin (on a
+    warped 3-d chart, 1.7e-3 at |x| = 1e-4 with 16 nodes against 1.5e-5
+    with 15).
     """
 
     def __init__(self, chart, n_nodes=25):
@@ -1259,8 +1288,8 @@ class PrecomputedChart(MetricChart):
         div = sum(_node_derivative(flux[..., :, j], j, h) for j in range(d))
         upper = (..., *np.triu_indices(d))  # the entries i <= j, packed
         self._g = _GridTable(g[upper], bound)
-        self._sigma = _GridTable(sigma[upper], bound)
-        self._a = _GridTable(0.5 * div / sq[..., None], bound)
+        self._step_table = _GridTable(
+            np.concatenate([sigma[upper], 0.5 * div / sq[..., None]], axis=-1), bound)
 
     def at(self, t, x):
         return _GridPoint(self, x)

@@ -41,6 +41,8 @@ def test_resolve_round_trips():
     ({"detla": "0.5"}, "detla: unknown option"),
     ({"paths": 2.7, "delta": "0.2"}, "paths: expected an integer, got 2.7"),
     ({"dim": True, "delta": "0.2"}, "dim: expected an integer, got True"),
+    ({"T": True, "delta": "0.2"}, "T: expected a number, got True"),
+    ({"delta": [True], "tube_radius": 2.0}, "delta: expected a number, got True"),
 ])
 def test_resolve_rejects_bad_values(bad, field):
     with pytest.raises(ValueError, match=field):
@@ -392,9 +394,17 @@ def test_console_entry_point():
 
 
 def test_import_does_not_load_scipy():
-    # scipy is imported inside the functions that use it, not by the package
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, omtube; print('scipy' in sys.modules)"],
-        capture_output=True, text=True)
+    # scipy is imported inside the functions that use it, not by the package,
+    # and a grid chart's tables are numpy splines: building one and stepping
+    # on it loads no scipy.ndimage
+    script = """import sys, omtube
+print('scipy' in sys.modules)
+from omtube import geometry as geo
+base = geo.fermi_chart(geo.warped_diagonal(3, "bump_strong"),
+                       geo.constant_curve(T=0.1, point=[0.35, 0.15, -0.25]), 0.3)
+at = geo.PrecomputedChart(base, n_nodes=5).at(0.0, [[0.1, -0.05, 0.02]])
+at.coriolis(), at.sigma_apply([[1.0, 0.5, -0.5]])
+print('scipy.ndimage' in sys.modules)"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]

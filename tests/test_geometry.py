@@ -437,6 +437,42 @@ def test_grid_point_equals_own_evaluators(warped3_chart):
     assert np.array_equal(chart.coriolis(0.0, x[0]), p.coriolis()[0])
 
 
+@pytest.mark.parametrize("n", [5, 6, 15])
+def test_grid_table_is_the_mirror_spline_of_ndimage(n):
+    # the numpy table is the interpolant of scipy.ndimage's order-3 spline
+    # in mode "mirror", up to summation order, everywhere in its cube
+    from scipy import ndimage
+
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, n, n, 9))
+    table = geo._GridTable(values, 0.3)
+    corners = 0.3 * np.array(np.meshgrid(*[[-1.0, 1.0]] * 3, indexing="ij")).reshape(3, -1).T
+    faces = rng.uniform(-0.3, 0.3, (12, 3))
+    faces[np.arange(12), np.arange(12) % 3] = np.tile([0.3, -0.3], 6)
+    x = np.concatenate([rng.uniform(-0.3, 0.3, (200, 3)), corners, faces, np.zeros((1, 3))])
+    coeffs = [ndimage.spline_filter(values[..., k], order=3, mode="mirror") for k in range(9)]
+    u = ((x + 0.3) * ((n - 1) / 0.6)).T
+    want = np.stack([ndimage.map_coordinates(c, u, order=3, prefilter=False, mode="mirror")
+                     for c in coeffs], axis=-1)
+    tol = 1e-13 * np.max(np.abs(values))
+    assert np.max(np.abs(table(x) - want)) < tol
+    nodes = np.stack(np.meshgrid(*[np.linspace(-0.3, 0.3, n)] * 3, indexing="ij"), axis=-1)
+    assert np.max(np.abs(table(nodes) - values)) < tol
+    # one point alone gives its row of the batch
+    assert all(np.array_equal(table(x[i]), table(x)[i]) for i in (0, 200, 215, 220))
+
+
+def test_grid_chart_refuses_points_outside_its_cube(warped3_chart):
+    # a spline in mirror mode would reflect the table there: a at (0.31, 0, 0)
+    # would equal a at (0.29, 0, 0)
+    chart = geo.PrecomputedChart(warped3_chart, n_nodes=5)
+    assert np.all(np.isfinite(chart.coriolis(0.0, np.array([0.3, -0.3, 0.0]))))
+    for x in ([0.31, 0.0, 0.0], [0.9, 0.0, 0.0], [0.0, 0.1, -0.3001], [np.nan, 0.0, 0.0]):
+        for evaluate in (chart.coriolis, chart.sigma, chart.metric):
+            with pytest.raises(ChartDomainError, match="outside its cube"):
+                evaluate(0.0, np.array([[0.1, 0.0, 0.0], x]))
+
+
 def test_grid_chart_drifts_match_shot_chart(warped3_chart):
     # the tabulated a (4th-order differences of the node values) is closer to
     # the shot chart than finite differences of the interpolated metric
