@@ -20,7 +20,9 @@ forms, S3 without), of which the workloads show only a few statistics, and
 the difference and RK4 routes that nothing else reaches (the Stokes
 consistency, finite-difference kernel and divergence of a cubic field on
 S2, the derivative of a custom profile, and the transported frame velocity
-of a circle on H3).  The output is one sorted JSON line holding ``cli.SCHEMA`` and the results, so
+of a circle on H3), and the radial chart evaluators of H3 and S3 on both
+sides of the point where their radial scalars leave the series (no
+workload runs a chart of negative curvature).  The output is one sorted JSON line holding ``cli.SCHEMA`` and the results, so
 two trees can be compared textually: outputs that are meant to stay fixed
 are equal, or the schema differs.
 """
@@ -56,6 +58,7 @@ def main(src):
     results["s2-difference-routes"] = s2_difference_routes()
     results["coupled-records"] = coupled_records()
     results["difference-routes"] = difference_routes()
+    results["radial-scalars"] = radial_scalars()
     print(json.dumps({"schema": cli.SCHEMA, "results": results}, sort_keys=True))
 
 
@@ -191,6 +194,29 @@ def difference_routes():
             "divergence_fd": divergence.tolist(),
             "profile_deriv": profile.deriv(np.array([0.0, 0.2, 0.45])).tolist(),
             "h3_velocity_frame": [h3.velocity_frame(t).tolist() for t in (0.0, 0.37, 0.9)]}
+
+
+def radial_scalars():
+    """sigma v, a, c and G of the H3 and S3 charts at nine radii from 5e-4
+    to 1.3, on both sides of |K| rho^2 = 0.25, and the closed-form
+    ``om.alpha_kernel`` of a linear field there, whose Gauss nodes s x
+    cover both sides too."""
+    import numpy as np
+    from omtube import geometry, om
+
+    radii = np.array([5e-4, 2e-3, 0.05, 0.12, 0.2, 0.45, 0.55, 0.9, 1.3])
+    pts = np.random.default_rng(1).standard_normal((radii.size, 3))
+    pts *= (radii / np.linalg.norm(pts, axis=1))[:, None]
+    v = np.resize([1.0, -0.5, 0.25, -0.3, 0.8, 0.6, 0.7, 0.1, -0.9], pts.shape)
+    field = om.linear_field(np.array([[0.2, -1.0, 0.3], [0.9, -0.1, 0.5], [-0.4, 0.6, 0.3]]))
+    out = {}
+    for name, model in (("h3", geometry.hyperbolic(3, 1.0)), ("s3", geometry.sphere(3, 1.0))):
+        chart = geometry.fermi_chart(model, geometry.constant_curve(T=1.0), 1.4)
+        at = chart.at(0.0, pts)
+        out[name] = {"sigma_v": at.sigma_apply(v).tolist(), "coriolis": at.coriolis().tolist(),
+                     "bessel_drift": at.bessel_drift().tolist(), "G": at.G().tolist(),
+                     "alpha_kernel": om.alpha_kernel(chart, field, 0.0, pts).tolist()}
+    return out
 
 
 if __name__ == "__main__":
