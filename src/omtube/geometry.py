@@ -241,144 +241,99 @@ def warped_diagonal(d, profile="bump"):
 
 
 # ---------------------------------------------------------------------------
-# stable radial scalars.  z = sqrt(|K|) rho; series are used below Z_CUT and
-# keep terms through z^9, so truncation stays below ~1e-14 at the switch.
+# radial scalars.  Each is an even function of rho, so a power series in
+# w = K rho^2, the same series for both signs of K.  Below W_CUT (|w| < 0.25)
+# it is summed by Horner; above, it has one closed form in y = sqrt|w| with
+# (s, c) = (sin y, cos y) for K > 0 and (sinh y, cosh y) for K < 0.  With
+# y cot y = sum_n c_n w^n (y coth y for w < 0, the same c_n), h = (d - 1) K / 2
+# and G(w) = (tl^2 - 1)/w = sum_m a_m w^m:
+#     tl = s/y                      = sum_n (-w)^n/(2n+1)!
+#     A/rho = h (y c/s - (y/s)^2)/w = h sum_n 2n c_n w^(n-1)
+#     C/rho = h (1 - (y/s)^2)/w     = h sum_n (2n - 1) c_n w^(n-1)
+# and the curl scalars of the 1-form g b (see ``om.alpha_kernel``)
+#     phi = tl^2 = 1 + w G,    psi = -K G,
+#     P = 2 K d(tl^2)/dw - psi = K sum_m (2m+3) a_m w^m.
+# Each series stops where its next term falls below 1e-16 of its value at
+# |w| = W_CUT; the closed forms lose at most ~6 eps / |w| to cancellation.
+# At w = 0 (K = 0 or rho = 0) each series gives its exact limit.
 # ---------------------------------------------------------------------------
 
-_Z_CUT = 0.15
-
-
-def _by_branch(small, z, series, direct):
-    """series(z) where ``small`` holds and direct(z) elsewhere.
-
-    Each branch is evaluated only on its own lanes.  Both functions map an
-    array to an array of the same trailing shape (leading axes may stack
-    several results).
-    """
-    if small.all():
-        return series(z)
-    if not small.any():
-        return direct(z)
-    lo = series(z[small])
-    out = np.empty(lo.shape[:-1] + z.shape)
-    out[..., small] = lo
-    out[..., ~small] = direct(z[~small])
-    return out
-
-
-# (series below _Z_CUT, direct form) of the radial scalar functions of z
-_COT = (  # cot(z) - 1/z
-    lambda z: -(z / 3 + z ** 3 / 45 + 2 * z ** 5 / 945 + z ** 7 / 4725 + 2 * z ** 9 / 93555),
-    lambda z: np.cos(z) / np.sin(z) - 1.0 / z)
-_COTH = (  # coth(z) - 1/z
-    lambda z: z / 3 - z ** 3 / 45 + 2 * z ** 5 / 945 - z ** 7 / 4725 + 2 * z ** 9 / 93555,
-    lambda z: np.cosh(z) / np.sinh(z) - 1.0 / z)
-_ZSIN2 = (  # (1 - (z/sin z)^2) / z
-    lambda z: -(z / 3 + z ** 3 / 15 + 2 * z ** 5 / 189 + z ** 7 / 675 + 2 * z ** 9 / 10395),
-    lambda z: (1.0 - (z / np.sin(z)) ** 2) / z)
-_ZSINH2 = (  # (1 - (z/sinh z)^2) / z
-    lambda z: z / 3 - z ** 3 / 15 + 2 * z ** 5 / 189 - z ** 7 / 675 + 2 * z ** 9 / 10395,
-    lambda z: (1.0 - (z / np.sinh(z)) ** 2) / z)
-
-
-def _split(series, direct):
-    """The function that is series(z) below _Z_CUT and direct(z) elsewhere."""
-    return lambda z: _by_branch(z < _Z_CUT, z, series, direct)
-
-
-def _split_sum(f, g):
-    """f + g with one split for the sum: elementwise the same arithmetic as
-    adding the two split functions."""
-    return _split(lambda z: f[0](z) + g[0](z), lambda z: f[1](z) + g[1](z))
-
-
-# by the sign of K: the f with A(rho) = (d - 1) sqrt|K| f(z) / 2 for the
-# Coriolis drift, and likewise for C(rho) of the Besselization drift
-_CORIOLIS = {1: _split_sum(_COT, _ZSIN2), -1: _split_sum(_COTH, _ZSINH2)}
-_BESSEL = {1: _split(*_ZSIN2), -1: _split(*_ZSINH2)}
-
-
-def _sinc(z):
-    return np.sinc(np.asarray(z, dtype=float) / np.pi)
-
-
-def _sinhc(z):
-    z = np.asarray(z, dtype=float)
-    return _by_branch(z < 1e-3, z,
-                      lambda z: 1.0 + z * z / 6 + z ** 4 / 120 + z ** 6 / 5040,
-                      lambda z: np.sinh(z) / z)
-
-
-# Curl scalars of the 1-form g b (see ``om.alpha_kernel``) as functions of
-# w = K rho^2.  With F(w) = tl^2 = sum_{n>=1} (-1)^(n+1) 2^(2n-1) w^(n-1)/(2n)!
-# and G(w) = (F(w) - 1)/w = sum_m a_m w^m:
-#     phi = F = 1 + w G,    psi = -K G,    P = 2 K F'(w) - psi = K sum_m (2m+3) a_m w^m.
-# The series is used below W_CUT, where it is truncated after w^7 (error
-# below 1e-16); above it the direct forms lose at most ~6 eps / |w|.
 _W_CUT = 0.25
+
+
+def _cot_series(n):
+    """c_0, ..., c_(n-1): the cos series divided by the sinc series, in
+    floats (within 1e-15 relative of their Bernoulli-number values)."""
+    c = []
+    for k in range(n):
+        c.append((-1.0) ** k / math.factorial(2 * k) - sum(
+            (-1.0) ** j / math.factorial(2 * j + 1) * c[k - j] for j in range(1, k + 1)))
+    return c
+
+
+_TL_SERIES = tuple((-1.0) ** n / math.factorial(2 * n + 1) for n in range(7))
+_A_SERIES = tuple(2 * n * c for n, c in enumerate(_cot_series(12)) if n)
+_C_SERIES = tuple((2 * n - 1) * c for n, c in enumerate(_cot_series(12)) if n)
 _G_SERIES = tuple((-1) ** (m + 1) * 2.0 ** (2 * m + 3) / math.factorial(2 * m + 4)
                   for m in range(8))
 _P_SERIES = tuple((2 * m + 3) * a for m, a in enumerate(_G_SERIES))
 
 
 class _RadialScalars:
-    """Scalar chart profiles for a constant-curvature model."""
+    """Scalar chart profiles for a constant-curvature model, as functions of
+    the squared radius rho2 by the rule above."""
 
     def __init__(self, K, d):
         self.K = float(K)
         self.d = int(d)
-        self.k = math.sqrt(abs(K)) if K != 0.0 else 0.0
+        self._h = 0.5 * (self.d - 1) * self.K
 
-    def tl(self, rho):
+    def _rule(self, rho2, series, closed):
+        """At w = K rho2: series(w) where |w| < W_CUT and closed(w, y, s, c)
+        elsewhere, each evaluated on its own lanes.  Leading axes of the
+        result may stack several scalars."""
+        w = self.K * np.asarray(rho2, dtype=float)
+        small = np.abs(w) < _W_CUT
+        if small.all():
+            return series(w)
+        big = w[~small]
+        y = np.sqrt(np.abs(big))
+        hi = closed(big, y, *((np.sin(y), np.cos(y)) if self.K > 0 else (np.sinh(y), np.cosh(y))))
+        out = np.empty(hi.shape[:-1] + w.shape)
+        out[..., ~small] = hi
+        out[..., small] = series(w[small])
+        return out
+
+    def tl(self, rho2):
         """Transverse eigenvalue of sigma^-1, so the lower metric has tl^2."""
-        rho = np.asarray(rho, dtype=float)
-        if self.K == 0.0:
-            return np.ones_like(rho)
-        z = self.k * rho
-        return _sinc(z) if self.K > 0 else _sinhc(z)
+        return self._rule(rho2, lambda w: polyval(w, _TL_SERIES), lambda w, y, s, c: s / y)
 
-    def _ratio_over_z(self, fns, limit, rho):
-        """f(z)/z at z = sqrt|K| rho for f = fns[sign K], and at z = 0 its
-        limit, given for K > 0 and of opposite sign for K < 0."""
-        rho = np.asarray(rho, dtype=float)
-        z = self.k * rho
-        sign = 1 if self.K > 0 else -1
-        zs = np.where(z > 0, z, 1.0)
-        return np.where(z > 0, fns[sign](zs) / zs, sign * limit)
-
-    def coriolis_over_rho(self, rho):
+    def coriolis_over_rho(self, rho2):
         """A(rho)/rho where the Coriolis drift is a = A(rho) x/rho."""
-        if self.K == 0.0:
-            return np.zeros_like(np.asarray(rho, dtype=float))
-        return 0.5 * (self.d - 1) * self.k ** 2 * self._ratio_over_z(_CORIOLIS, -2.0 / 3.0, rho)
+        return self._rule(rho2, lambda w: self._h * polyval(w, _A_SERIES),
+                          lambda w, y, s, c: self._h * (y * c / s - (y / s) ** 2) / w)
 
-    def bessel_over_rho(self, rho):
+    def bessel_over_rho(self, rho2):
         """C(rho)/rho where the Besselization drift is c = C(rho) x/rho."""
-        if self.K == 0.0:
-            return np.zeros_like(np.asarray(rho, dtype=float))
-        return 0.5 * (self.d - 1) * self.k ** 2 * self._ratio_over_z(_BESSEL, -1.0 / 3.0, rho)
+        return self._rule(rho2, lambda w: self._h * polyval(w, _C_SERIES),
+                          lambda w, y, s, c: self._h * (1.0 - (y / s) ** 2) / w)
 
     def curl_scalars(self, rho2):
-        """(phi, psi, P) stacked on a leading axis, at squared radius rho2:
-        phi = tl^2, psi = (1 - tl^2)/rho^2 and P = phi'(rho)/rho - psi, the
+        """(phi, psi, P) stacked on a leading axis: phi = tl^2,
+        psi = (1 - tl^2)/rho^2 and P = phi'(rho)/rho - psi, the
         coefficients of curl(g b)."""
-        w = self.K * np.asarray(rho2, dtype=float)
-        return _by_branch(np.abs(w) < _W_CUT, w, self._curl_series, self._curl_direct)
+        K = self.K
 
-    def _curl_series(self, w):
-        G = polyval(w, _G_SERIES)
-        return np.stack((1.0 + w * G, -self.K * G, self.K * polyval(w, _P_SERIES)))
+        def series(w):
+            G = polyval(w, _G_SERIES)
+            return np.stack((1.0 + w * G, -K * G, K * polyval(w, _P_SERIES)))
 
-    def _curl_direct(self, w):
-        z2 = np.abs(w)
-        z = np.sqrt(z2)
-        if self.K > 0:
-            s, c = np.sin(z), np.cos(z)
-        else:
-            s, c = np.sinh(z), np.cosh(z)
-        s2 = s * s
-        scale = abs(self.K) / (z2 * z2)
-        return np.stack((s2 / z2, scale * (z2 - s2), scale * (2.0 * z * s * c - s2 - z2)))
+        def closed(w, y, s, c):
+            s2, y2 = s * s, np.abs(w)
+            scale = abs(K) / (y2 * y2)
+            return np.stack((s2 / y2, scale * (y2 - s2), scale * (2.0 * y * s * c - s2 - y2)))
+
+        return self._rule(rho2, series, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,8 +994,12 @@ class _RadialPoint(_Point):
         self._scalars = scalars
 
     @cached_property
+    def rho2(self):
+        return self.rho * self.rho
+
+    @cached_property
     def tl(self):
-        return self._scalars.tl(self.rho)
+        return self._scalars.tl(self.rho2)
 
     @cached_property
     def ti(self):
@@ -1060,10 +1019,10 @@ class _RadialPoint(_Point):
         return self.ti[..., None] * v + ((1.0 - self.ti) * uv)[..., None] * self.u
 
     def coriolis(self):
-        return self._scalars.coriolis_over_rho(self.rho)[..., None] * self.x
+        return self._scalars.coriolis_over_rho(self.rho2)[..., None] * self.x
 
     def bessel_drift(self):
-        return self._scalars.bessel_over_rho(self.rho)[..., None] * self.x
+        return self._scalars.bessel_over_rho(self.rho2)[..., None] * self.x
 
     def G(self):
         return (self._scalars.d - 1) * (self.ti - 1.0) ** 2 / self.rho ** 4

@@ -34,7 +34,8 @@ constant Jacobian A (b = A x - gamma_dot):
     curl_ij = P (x_i b_j - x_j b_i) + phi (A_ji - A_ij)
               + psi ((A^T x)_i x_j - (A^T x)_j x_i),
 
-with phi = tl^2, psi = (1 - tl^2)/rho^2 and P = phi'(rho)/rho - psi
+with phi = tl^2, psi = (1 - tl^2)/rho^2 and P = phi'(rho)/rho - psi, each a
+series in w = K rho^2 below ``geometry._W_CUT`` and a closed form above
 (``_RadialScalars.curl_scalars``).  ``alpha_kernel`` integrates these
 scalars over s and needs no evaluation of alpha.  Custom and table fields
 and ``PrecomputedChart`` take the finite-difference route

@@ -154,6 +154,44 @@ def test_euclidean_drifts_vanish(euclid2_chart):
     assert np.all(euclid2_chart.bessel_drift(0.0, x) == 0.0)
 
 
+def _mp_radial_scalars(K, d, rho2):
+    """tl, A/rho, C/rho, phi, psi and P at 40 digits from their definitions:
+    tl = sin(k rho)/(k rho), k = sqrt|K| (sinh for K < 0); on the metric
+    g = u u^T + tl^2 (I - u u^T), sqrt(g) g^-1 = tl^(d-1) u u^T +
+    tl^(d-3) (I - u u^T), whose divergence over 2 sqrt(g) gives
+    A = (d - 1)(tl'/tl + (1 - tl^-2)/rho)/2, and c = (d - tr g^-1) x/(2 rho^2)
+    gives C/rho = (d - 1)(1 - tl^-2)/(2 rho^2); phi = tl^2,
+    psi = (1 - tl^2)/rho^2 and P = phi'(rho)/rho - psi."""
+    import mpmath
+    with mpmath.workdps(40):
+        k = mpmath.sqrt(abs(mpmath.mpf(K)))
+        sin = mpmath.sin if K > 0 else mpmath.sinh
+        r2 = mpmath.mpf(rho2)
+        r = mpmath.sqrt(r2)
+        tl = sin(k * r) / (k * r)
+        dtl = mpmath.diff(lambda s: sin(k * s) / (k * s), r)
+        psi = (1 - tl * tl) / r2
+        return [tl, (d - 1) * (dtl / tl + (1 - tl ** -2) / r) / (2 * r),
+                (d - 1) * (1 - tl ** -2) / (2 * r2), tl * tl, psi, 2 * tl * dtl / r - psi]
+
+
+@pytest.mark.parametrize("K", [1.0, -1.0, 4.0, -0.25])
+@pytest.mark.parametrize("d", [2, 3])
+def test_radial_scalars_against_mpmath(K, d):
+    # rho from 1e-6 to just inside the sphere chart's bound pi/(2 sqrt K),
+    # with two radii astride the cut |K| rho^2 = W_CUT
+    k = math.sqrt(abs(K))
+    rho = np.append(np.geomspace(1e-6, 0.999 * math.pi / 2, 120),
+                    math.sqrt(geo._W_CUT) * np.array([1 - 1e-9, 1 + 1e-9])) / k
+    rho2 = rho * rho
+    assert (abs(K) * rho2 < geo._W_CUT).any() and (abs(K) * rho2 >= geo._W_CUT).any()
+    sc = geo._RadialScalars(K, d)
+    got = np.stack([sc.tl(rho2), sc.coriolis_over_rho(rho2), sc.bessel_over_rho(rho2),
+                    *sc.curl_scalars(rho2)])
+    want = np.array([[float(v) for v in _mp_radial_scalars(K, d, r2)] for r2 in rho2]).T
+    assert np.max(np.abs(got - want) / np.abs(want)) < 2e-14
+
+
 # ---------------------------------------------------------------------------
 # curvature
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ def test_config_validation():
         sde.IntegratorConfig(dt=1e-2, delta=0.2)
 
 
+
 # ---------------------------------------------------------------------------
 # flat reduction and determinism
 # ---------------------------------------------------------------------------
@@ -126,11 +127,11 @@ def test_steps_equal_evaluator_composition(name, request):
     d = chart.d
     rng = np.random.default_rng(4)
     x = rng.standard_normal((12, d))
-    x *= (np.geomspace(0.03, 0.8, 12) * chart.tube_radius / np.linalg.norm(x, axis=1))[:, None]
+    x *= (np.geomspace(0.03, 0.95, 12) * chart.tube_radius / np.linalg.norm(x, axis=1))[:, None]
     if chart.is_radial and chart.model.curv != 0.0:
         # both branches of the radial scalars run
-        z = math.sqrt(abs(chart.model.curv)) * np.linalg.norm(x, axis=1)
-        assert (z < geo._Z_CUT).any() and (z >= geo._Z_CUT).any()
+        w = abs(chart.model.curv) * np.sum(x * x, axis=1)
+        assert (w < geo._W_CUT).any() and (w >= geo._W_CUT).any()
     dB = 0.03 * rng.standard_normal(x.shape)
     t, dt = 0.2, 1e-3
     field = om.rotational_field(1.0) if d == 2 else om.linear_field(0.5, d=d)
