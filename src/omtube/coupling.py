@@ -277,6 +277,7 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, chunk_range=None)
     then runs the stepping loop of :mod:`omtube.sde` over the pair and the
     running records; a lane leaves at the first grid state with
     |Y| >= delta.  ``chunk_range`` is as in ``sde.run_tube_ensemble``.
+    The pair steps by Euler-Maruyama; any other ``cfg.scheme`` is refused.
     """
     if cfg.delta is None:
         raise ConstructionError("coupled ensembles need a tube radius delta")
@@ -285,6 +286,8 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, chunk_range=None)
     if cfg.bridge_correction:
         raise ConstructionError("bridge correction is not used in coupled runs; "
                                 "the bookkeeping needs exact grid states")
+    if cfg.scheme != "euler_maruyama":
+        raise ConstructionError(f"coupled runs step by euler_maruyama, not {cfg.scheme!r}")
     T, n_steps = cfg.horizon(chart.curve)
     j, dt, delta = build_J(chart.d), cfg.dt, cfg.delta
 

@@ -37,7 +37,6 @@ __all__ = [
     "extrapolate_ratio",
     "estimate_girsanov_weight",
     "conditional_moment_experiment",
-    "bootstrap_ratio_se",
     "holder_exponent",
 ]
 
@@ -343,7 +342,7 @@ def conditional_moment_experiment(chart, field, *, deltas, c, T, n_paths,
     with the estimate and its standard error; ``bounded`` is False when a
     cell exceeds the one before it in the given order of ``deltas`` by 3
     pooled standard errors, a check as delta decreases only for descending
-    lists, which nothing enforces (ROADMAP item 14 sorts them).
+    lists, which nothing enforces (ROADMAP item 16 sorts them).
     """
     if dt is None:
         dt = sde._auto_dt(T, deltas)
@@ -367,13 +366,3 @@ def conditional_moment_experiment(chart, field, *, deltas, c, T, n_paths,
         if b["estimate"] > a["estimate"] + 3 * pooled:
             bounded = False
     return rows, bounded
-
-
-def bootstrap_ratio_se(num, den, n_boot=500, seed=0):
-    """Parametric bootstrap of the ratio SE from the two binomial counts."""
-    rng = np.random.default_rng(seed)
-    kn = rng.binomial(num.n_paths, num.p_hat, size=n_boot)
-    kd = rng.binomial(den.n_paths, den.p_hat, size=n_boot)
-    kd = np.maximum(kd, 1)
-    ratios = (kn / num.n_paths) / (kd / den.n_paths)
-    return float(np.std(ratios, ddof=1))

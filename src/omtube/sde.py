@@ -73,16 +73,20 @@ class IntegratorConfig:
             warnings.warn(
                 f"dt = {self.dt:g} above delta^2/50 = {self.delta ** 2 / 50:g}; "
                 "tube-scale dynamics may be under-resolved", stacklevel=2)
+        if self.T is not None:
+            self.horizon()
 
     def horizon(self, curve=None):
+        """(T, n) with T = n dt, from ``self.T`` or else the curve's T; a T
+        that is not a whole number n >= 1 of steps (to 1e-9 max(1, T)) is
+        refused, so every run reports the horizon it simulates."""
         T = self.T if self.T is not None else (curve.T if curve is not None else None)
         if T is None or T <= 0:
             raise ConstructionError("no positive time horizon available")
-        n = int(round(T / self.dt))
-        if abs(n * self.dt - T) > 1e-9 * max(1.0, T):
-            warnings.warn(f"T = {T:g} is not a multiple of dt = {self.dt:g}; "
-                          f"using {n} steps", stacklevel=2)
-        return T, max(n, 1)
+        n = round(T / self.dt)
+        if n < 1 or abs(n * self.dt - T) > 1e-9 * max(1.0, T):
+            raise ConstructionError(f"T = {T:g} is not a whole number of steps dt = {self.dt:g}")
+        return T, n
 
 
 @dataclass

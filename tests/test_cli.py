@@ -72,6 +72,13 @@ def test_parser_leaves_values_as_text(capsys):
         assert capsys.readouterr().err.startswith(f"error: {msg}")
 
 
+def test_horizon_not_whole_steps_exits_2(capsys):
+    code = run_cli(["smallball", "--T", "0.02", "--dt", "4.5e-4", "--delta", "0.3",
+                    "--paths", "1000"])
+    assert code == 2
+    assert "whole number of steps" in capsys.readouterr().err
+
+
 def test_invalid_config_exit_code(capsys, tmp_path):
     code = run_cli(["smallball", "--dim", "1", "--T", "-3", "--delta", "1"])
     assert code == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omtube import coupling as cp, geometry as geo, om, sde
-from omtube.errors import InsufficientSamplesError
+from omtube.errors import ConstructionError, InsufficientSamplesError
 
 from conftest import fit_slope
 
@@ -194,6 +194,12 @@ def test_levy_area_orthogonal_to_radial(sphere2_chart):
 # ---------------------------------------------------------------------------
 # the coupled pair
 # ---------------------------------------------------------------------------
+
+def test_coupled_run_refuses_other_schemes(sphere2_chart):
+    cfg = sde.IntegratorConfig(dt=1e-3, T=0.01, delta=0.3, scheme="milstein_diagonal")
+    with pytest.raises(ConstructionError, match="milstein_diagonal"):
+        cp.simulate_coupled_ensemble(sphere2_chart, cfg, 16)
+
 
 def test_flat_coupling_is_pathwise_identical(euclid2_chart):
     cfg = sde.IntegratorConfig(dt=1e-3, T=0.3, delta=0.6, seed=2)

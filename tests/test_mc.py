@@ -218,7 +218,12 @@ def test_moment_insufficient(euclid2_chart):
 def test_bootstrap_agrees_with_delta_method(euclid2_chart):
     r = mc.estimate_ratio(euclid2_chart, om.zero_field(2), delta=0.6, dt=2e-3,
                           n_paths=20000, seed=8)
-    boot = mc.bootstrap_ratio_se(r.numerator, r.denominator, n_boot=500, seed=1)
+    # parametric bootstrap of the ratio from the two binomial counts
+    num, den = r.numerator, r.denominator
+    rng = np.random.default_rng(1)
+    kn = rng.binomial(num.n_paths, num.p_hat, size=500)
+    kd = np.maximum(rng.binomial(den.n_paths, den.p_hat, size=500), 1)
+    boot = float(np.std((kn / num.n_paths) / (kd / den.n_paths), ddof=1))
     assert abs(boot - r.ratio_se) / r.ratio_se < 0.2
 
 

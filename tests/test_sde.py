@@ -59,6 +59,16 @@ def test_config_validation():
         sde.IntegratorConfig(dt=1e-2, delta=0.2)
 
 
+def test_horizon_must_be_whole_steps():
+    # 0.02 / 4.5e-4 = 44.4 steps: refused when built, not simulated as 44
+    with pytest.raises(ConstructionError, match="whole number of steps"):
+        sde.IntegratorConfig(dt=4.5e-4, T=0.02)
+    cfg = sde.IntegratorConfig(dt=4.5e-4)
+    with pytest.raises(ConstructionError, match="whole number of steps"):
+        cfg.horizon(geo.constant_curve(T=0.02))
+    assert cfg.horizon(geo.constant_curve(T=45 * 4.5e-4)) == (45 * 4.5e-4, 45)
+    assert sde.IntegratorConfig(dt=0.1 / 56, T=20 * (0.1 / 56)).horizon() == (20 * (0.1 / 56), 20)
+
 
 # ---------------------------------------------------------------------------
 # flat reduction and determinism
