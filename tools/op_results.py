@@ -54,6 +54,7 @@ def main(src):
         results[name], _ = wl.run(wl.setup(cfg), cfg)
     results["couple-s2-rot"] = couple_s2_rot(cli)
     results["paths-x-s2-rot"] = paths_x_s2_rot()
+    results["paths-x-s3"] = paths_x_s3()
     results["warped3-evaluators"] = warped3_evaluators()
     results["s2-difference-routes"] = s2_difference_routes()
     results["coupled-records"] = coupled_records()
@@ -87,6 +88,35 @@ def paths_x_s2_rot():
             dt=0.05 / 28, T=0.05, delta=0.3, bridge_correction=True, seed=1, path_index=i))
         paths.append({"states": p.states.tolist(), "exit_time": p.exit_time})
     return paths
+
+
+def paths_x_s3():
+    """The d = 3 tube step: states, radii and exits of four single X paths
+    on S3 along a great circle and on H3 with a linear field, and the exit
+    times of a 512-path X ensemble on S3, all with the bridge correction."""
+    import numpy as np
+    from omtube import geometry, om, sde
+
+    s3 = geometry.sphere(3, 1.0)
+    runs = {"s3": (geometry.fermi_chart(s3, geometry.great_circle_curve(s3, 1.0, 0.05), 0.75),
+                   om.zero_field(3)),
+            "h3": (geometry.fermi_chart(geometry.hyperbolic(3, 1.0),
+                                        geometry.constant_curve(T=0.05), 0.75),
+                   om.linear_field(np.array([[0.2, -1.0, 0.3], [0.9, -0.1, 0.5],
+                                             [-0.4, 0.6, 0.3]])))}
+    out = {}
+    for name, (chart, field) in runs.items():
+        out[name] = []
+        for i in range(4):
+            p = sde.simulate_X(chart, field, sde.IntegratorConfig(
+                dt=0.05 / 28, T=0.05, delta=0.35, bridge_correction=True, seed=1, path_index=i))
+            out[name].append({"states": p.states.tolist(), "radial": p.radial.tolist(),
+                              "exit_time": p.exit_time})
+    ens = sde.run_tube_ensemble("x", 3, sde.IntegratorConfig(
+        dt=0.05 / 28, T=0.05, delta=0.3, bridge_correction=True, seed=1), 512,
+        chart=runs["s3"][0], drift_field=runs["s3"][1], want_exit_times=True)
+    out["s3_ensemble_exit_times"] = ens.exit_times.tolist()
+    return out
 
 
 def warped3_evaluators():
