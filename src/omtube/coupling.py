@@ -28,11 +28,13 @@ midpoint rule), and the diagnostics.
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from . import _rng
 from .errors import ChartDomainError, ConstructionError, InsufficientSamplesError
+from .geometry import _rowdot, _rowscale
 from .sde import _chunks, _step_lanes
 
 __all__ = [
@@ -66,15 +68,24 @@ class JMaps:
     n: int
     J: np.ndarray
 
+    @cached_property
+    def _gather(self):
+        """(rows, cols, signs) of the d entries +-1 of each J^i, rows rising."""
+        i, a, b = np.nonzero(self.J)
+        return a.reshape(self.d, -1), b.reshape(self.d, -1), self.J[i, a, b].reshape(self.d, -1)
+
     def apply(self, u, w=None):
         """<J u, w> as a d-vector batch; with w=None returns J^i u stacked.
 
-        u: (..., d); w: (..., n).  Output (..., d) resp. (..., d, n).
+        u: (..., d); w: (..., n).  Output (..., d) resp. (..., d, n), by gathers.
         """
-        Ju = np.einsum("iab,...b->...ia", self.J, u)
+        rows, cols, signs = self._gather
+        Ju = signs * np.asarray(u, dtype=float)[..., cols]
         if w is None:
-            return Ju
-        return np.einsum("...ia,...a->...i", Ju, w)
+            out = np.zeros(Ju.shape[:-1] + (self.n,))
+            out[..., np.arange(self.d)[:, None], rows] = Ju
+            return out
+        return _rowdot(Ju, np.asarray(w, dtype=float)[..., rows])
 
 
 def build_J(d):
@@ -108,7 +119,7 @@ def H_of(chart, t, R, U, U_tilde):
     """H = |(sigma(t, R U) - I)(U - Ut)| / R^2 (batched)."""
     R = np.asarray(R, dtype=float)
     dv = chart.at(t, R[..., None] * U).sigma_apply(U - U_tilde) - (U - U_tilde)
-    return np.linalg.norm(dv, axis=-1) / R ** 2
+    return np.sqrt(_rowdot(dv, dv)) / R ** 2
 
 
 def G_of(chart, t, R, U):
@@ -218,27 +229,27 @@ def _coupled_advance(chart, jmaps, cfg, forms, gen):
         w1f = sq * gen.standard_normal(Y.shape[0])
         at = chart.at(t, Y)
         R, U = at.rho, at.u
-        Ut = Yt / s["Rt"][:, None]
+        Ut = _rowscale(Yt, s["Rt"], np.divide)
         dB = jmaps.apply(U, dW)
         dBt = jmaps.apply(Ut, dW)
-        w0_dev = np.maximum(np.abs(np.einsum("mi,mi->m", U, dB) - dW[:, 0]),
-                            np.abs(np.einsum("mi,mi->m", Ut, dBt) - dW[:, 0]))
+        w0_dev = np.maximum(np.abs(_rowdot(U, dB) - dW[:, 0]), np.abs(_rowdot(Ut, dBt) - dW[:, 0]))
         Yn = Y + at.sigma_apply(dB) + at.bessel_drift() * dt
         Ytn = Yt + dBt
 
         # inner-product SDE coefficients at the pre-step state
-        H = np.linalg.norm(at.sigma_apply(U - Ut) - (U - Ut), axis=-1) / R ** 2
+        dv = at.sigma_apply(U - Ut) - (U - Ut)
+        H = np.sqrt(_rowdot(dv, dv)) / R ** 2
         G = at.G()
         # W1 extraction: <(sigma - I) Ut, dB> / (R^2 H); on lanes where the
         # diffusion term degenerates the fresh independent increment stands in
-        num = np.einsum("mi,mi->m", at.sigma_apply(Ut) - Ut, dB)
+        num = _rowdot(at.sigma_apply(Ut) - Ut, dB)
         den = R ** 2 * H
         ok = den > 1e-14
         dW1 = np.where(ok, num / np.where(ok, den, 1.0), w1f)
 
-        Rn = np.linalg.norm(Yn, axis=-1)
-        Rtn = np.linalg.norm(Ytn, axis=-1)
-        uu = np.einsum("mi,mi->m", Yn, Ytn) / (Rn * Rtn)
+        Rn = np.sqrt(_rowdot(Yn, Yn))
+        Rtn = np.sqrt(_rowdot(Ytn, Ytn))
+        uu = _rowdot(Yn, Ytn) / (Rn * Rtn)
         run = dict(
             s, Y=Yn, Yt=Ytn, Rt=Rtn, uu_final=uu,
             w0_identity_dev=np.maximum(s["w0_identity_dev"], w0_dev),
@@ -297,17 +308,17 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, chunk_range=None)
 
         # launch: one plain Gaussian step shared by both processes
         Y = math.sqrt(dt) * gen.standard_normal((m, j.d))
-        r0 = np.linalg.norm(Y, axis=-1)
+        r0 = np.sqrt(_rowdot(Y, Y))
         degenerate = r0 < 1e-300
         live = ~degenerate & (r0 < delta)
         tex = np.full(m, np.nan)
         tex[~live & ~degenerate] = dt
-        lanes = np.nonzero(live)[0]
+        lanes = np.flatnonzero(live)
 
         # full-length records, copied into at exit and at the end, and the
         # compacted running state of the live lanes
         rec = {k: np.full(m, v) for k, v in _RUNNING.items()}
-        state = {"Y": Y[lanes], "Yt": Y[lanes], "Rt": r0[lanes],
+        state = {"Y": Y.take(lanes, axis=0), "Yt": Y.take(lanes, axis=0), "Rt": r0.take(lanes),
                  **{k: np.full(lanes.size, v) for k, v in _RUNNING.items()}}
         _step_lanes(_coupled_advance(chart, j, cfg, forms, gen), range(1, n_steps), dt,
                     state, lanes, tex, rec)

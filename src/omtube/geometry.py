@@ -67,7 +67,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import ChartDomainError, ConstructionError, NumericError
 
@@ -104,6 +103,32 @@ def _jacobian(f, x, h):
     x = np.asarray(x, dtype=float)
     return np.stack([(f(x - 2 * h * e) - 8 * f(x - h * e) + 8 * f(x + h * e)
                       - f(x + 2 * h * e)) / (12 * h) for e in np.eye(x.shape[-1])], axis=-1)
+
+
+def _rowdot(a, b):
+    """sum_i a[..., i] b[..., i] left to right, as ``np.linalg.norm`` sums up
+    to 5 terms, without numpy's slow reduction over a short last axis."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
+def _rowscale(v, a, op=np.multiply):
+    """op(v, a[..., None]) column by column; broadcasting a costs numpy ~3x."""
+    out = np.empty(np.broadcast_shapes(v.shape, np.shape(a) + v.shape[-1:]))
+    for i in range(out.shape[-1]):
+        op(v[..., i], a, out=out[..., i])
+    return out
+
+
+def _horner(w, coef):
+    """sum_n coef[n] w^n in place, by the operations of ``polyval`` in order."""
+    out = np.full_like(w, coef[-1])
+    for c in coef[-2::-1]:
+        out *= w
+        out += c
+    return out
 
 
 def _rk4(rate, t0, state, h, n):
@@ -306,16 +331,16 @@ class _RadialScalars:
 
     def tl(self, rho2):
         """Transverse eigenvalue of sigma^-1, so the lower metric has tl^2."""
-        return self._rule(rho2, lambda w: polyval(w, _TL_SERIES), lambda w, y, s, c: s / y)
+        return self._rule(rho2, lambda w: _horner(w, _TL_SERIES), lambda w, y, s, c: s / y)
 
     def coriolis_over_rho(self, rho2):
         """A(rho)/rho where the Coriolis drift is a = A(rho) x/rho."""
-        return self._rule(rho2, lambda w: self._h * polyval(w, _A_SERIES),
+        return self._rule(rho2, lambda w: self._h * _horner(w, _A_SERIES),
                           lambda w, y, s, c: self._h * (y * c / s - (y / s) ** 2) / w)
 
     def bessel_over_rho(self, rho2):
         """C(rho)/rho where the Besselization drift is c = C(rho) x/rho."""
-        return self._rule(rho2, lambda w: self._h * polyval(w, _C_SERIES),
+        return self._rule(rho2, lambda w: self._h * _horner(w, _C_SERIES),
                           lambda w, y, s, c: self._h * (1.0 - (y / s) ** 2) / w)
 
     def curl_scalars(self, rho2):
@@ -325,8 +350,8 @@ class _RadialScalars:
         K = self.K
 
         def series(w):
-            G = polyval(w, _G_SERIES)
-            return np.stack((1.0 + w * G, -K * G, K * polyval(w, _P_SERIES)))
+            G = _horner(w, _G_SERIES)
+            return np.stack((1.0 + w * G, -K * G, K * _horner(w, _P_SERIES)))
 
         def closed(w, y, s, c):
             s2, y2 = s * s, np.abs(w)
@@ -893,12 +918,14 @@ class _Point:
 
     def __init__(self, x):
         self.x = np.asarray(x, dtype=float)
-        self.rho = np.linalg.norm(self.x, axis=-1)
+        self.rho = np.sqrt(_rowdot(self.x, self.x))
 
     @cached_property
     def u(self):
-        safe = np.where(self.rho > 0, self.rho, 1.0)
-        return np.where((self.rho > 0)[..., None], self.x / safe[..., None], 0.0)
+        zero = self.rho == 0
+        if zero.any():  # x / inf = 0 on the rows at the origin
+            return _rowscale(self.x, np.where(zero, np.inf, self.rho), np.divide)
+        return _rowscale(self.x, self.rho, np.divide)
 
 
 class _MatrixPoint(_Point):
@@ -1015,14 +1042,15 @@ class _RadialPoint(_Point):
         return self.matrix(self.ti)
 
     def sigma_apply(self, v):
-        uv = np.einsum("...i,...i->...", self.u, v)
-        return self.ti[..., None] * v + ((1.0 - self.ti) * uv)[..., None] * self.u
+        v = np.asarray(v, dtype=float)
+        uv = _rowdot(self.u, v)
+        return _rowscale(v, self.ti) + _rowscale(self.u, (1.0 - self.ti) * uv)
 
     def coriolis(self):
-        return self._scalars.coriolis_over_rho(self.rho2)[..., None] * self.x
+        return _rowscale(self.x, self._scalars.coriolis_over_rho(self.rho2))
 
     def bessel_drift(self):
-        return self._scalars.bessel_over_rho(self.rho2)[..., None] * self.x
+        return _rowscale(self.x, self._scalars.bessel_over_rho(self.rho2))
 
     def G(self):
         return (self._scalars.d - 1) * (self.ti - 1.0) ** 2 / self.rho ** 4

@@ -49,7 +49,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConstructionError, NumericError, UnitVectorError
-from .geometry import ShotChart, _jacobian, divergence_fd
+from .geometry import ShotChart, _jacobian, _rowdot, divergence_fd
 
 __all__ = [
     "DriftField",
@@ -230,12 +230,10 @@ def beta(curvature, u):
     the Ricci tensor is isotropic.
     """
     u = np.asarray(u, dtype=float)
-    norms = np.linalg.norm(u, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
+    if np.any(np.abs(np.sqrt(_rowdot(u, u)) - 1.0) > 1e-12):
         raise UnitVectorError("beta requires unit vectors (||u| - 1| > 1e-12)")
     d = u.shape[-1]
-    ric = curvature.ricci
-    quad = np.einsum("...i,ij,...j->...", u, ric, u)
+    quad = _rowdot(u @ curvature.ricci, u)
     return -(d / 12.0) * (quad - curvature.scalar / d)
 
 
@@ -274,7 +272,7 @@ def alpha_kernel(chart, field, t, x, n_gauss=8):
     x = np.asarray(x, dtype=float)
     d = chart.d
     s, w = _gauss_legendre_01(n_gauss)
-    rho2 = np.einsum("...i,...i->...", x, x)
+    rho2 = _rowdot(x, x)
     phi, psi, P = chart._scalars.curl_scalars(np.multiply.outer(s * s, rho2))
     # s-moments of the curl scalars; b(s x) = s A x - v
     I_phi = np.tensordot(w * s, phi, 1)[..., None]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from omtube import coupling as cp, geometry as geo, om, sde
 from omtube.errors import ConstructionError, InsufficientSamplesError
@@ -60,6 +61,26 @@ def test_J_properties(d):
     s = np.einsum("mi,mia->ma", u, j.apply(u))
     norms2 = np.sum(u * u, axis=1)
     assert np.max(np.abs(s - norms2[:, None] * e0)) < 1e-12
+
+
+@given(st.sampled_from([2, 3, 4]), st.data())
+def test_J_apply_gathers_the_dense_product(d, data):
+    # each row of J^i holds at most one +-1, so J^i u is exact and <J u, w>
+    # sums the dense product's nonzero terms; at d = 2 there are two, in
+    # one order, and at d = 3 and 4 their sum is within 2 ulp of sum |term|
+    j = cp.build_J(d)
+    m = data.draw(st.integers(1, 30))
+    el = st.floats(-1e100, 1e100, allow_nan=False)
+    u = data.draw(arrays(float, (m, d), elements=el))
+    w = data.draw(arrays(float, (m, j.n), elements=el))
+    Ju = np.einsum("iab,...b->...ia", j.J, u)
+    assert np.array_equal(j.apply(u), Ju)
+    dense = np.einsum("...ia,...a->...i", Ju, w)
+    if d == 2:
+        assert np.array_equal(j.apply(u, w), dense)
+    else:
+        scale = np.einsum("...ia,...a->...i", np.abs(Ju), np.abs(w))
+        assert np.all(np.abs(j.apply(u, w) - dense) <= 2 * np.finfo(float).eps * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from omtube import geometry as geo
 from omtube.errors import ChartDomainError, ConstructionError, NumericError
@@ -190,6 +192,43 @@ def test_radial_scalars_against_mpmath(K, d):
                     *sc.curl_scalars(rho2)])
     want = np.array([[float(v) for v in _mp_radial_scalars(K, d, r2)] for r2 in rho2]).T
     assert np.max(np.abs(got - want) / np.abs(want)) < 2e-14
+
+
+# ---------------------------------------------------------------------------
+# lane kernels
+# ---------------------------------------------------------------------------
+
+@given(st.sampled_from([2, 3, 4]), st.data())
+def test_rowdot_sums_left_to_right(d, data):
+    # |x| is np.linalg.norm's bit for bit up to d = 4, and at d = 2, where a
+    # sum of two terms has one order, the dot is also np.einsum's
+    el = st.floats(-1e150, 1e150, allow_nan=False)
+    x, y = data.draw(arrays(float, st.tuples(st.just(2), st.integers(1, 40), st.just(d)),
+                            elements=el))
+    assert np.array_equal(np.sqrt(geo._rowdot(x, x)), np.linalg.norm(x, axis=-1))
+    assert np.sqrt(geo._rowdot(x[0], x[0])) == np.linalg.norm(x[0])
+    if d == 2:
+        assert np.array_equal(geo._rowdot(x, y), np.einsum("mi,mi->m", x, y))
+
+
+@given(arrays(float, st.integers(0, 40), elements=st.floats(-1e3, 1e3)),
+       st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12))
+@example(np.linspace(-0.25, 0.25, 9), list(geo._A_SERIES))
+def test_horner_is_polyval(w, coef):
+    from numpy.polynomial.polynomial import polyval
+
+    assert np.array_equal(geo._horner(w, coef), polyval(w, coef))
+
+
+def test_u_at_the_origin_is_zero(sphere3_chart):
+    # a row whose squares underflow counts as the origin too
+    x = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.05], [1e-170, 0.0, -1e-170]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = sphere3_chart.at(0.0, x).u
+        single = sphere3_chart.at(0.0, np.zeros(3)).u
+    assert np.array_equal(u[[0, 2]], np.zeros((2, 3))) and np.array_equal(single, np.zeros(3))
+    assert np.array_equal(u[1], x[1] / np.linalg.norm(x[1]))
 
 
 # ---------------------------------------------------------------------------
