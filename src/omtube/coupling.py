@@ -15,9 +15,9 @@ measured diagnostic.
 stepping loop of :mod:`omtube.sde` with the ``advance`` that
 ``_coupled_advance`` builds, the counterpart of ``sde._tube_advance``.  A
 step evaluates the chart once at Y (``chart.at``); on radial charts G is
-the closed form (d - 1)(1/tl(R) - 1)^2 / R^4.  |Yt| is taken once per
-step, at the exit check, and carried to the next step as the lane state
-``Rt``.  Each lane carries the records listed once in ``RECORDS``: the
+the closed form (d - 1)(K q)^2 with q = (1/tl(R) - 1)/(K R^2) summed
+without cancellation.  |Yt| is taken once per step, at the exit check,
+and carried to the next step as the lane state ``Rt``.  Each lane carries the records listed once in ``RECORDS``: the
 inner product <U, Ut> with the prediction of its closed-form SDE
 (coefficients H and G), the compensated exponential's G_int and nu, the
 area martingale's Ito sum M_ito and bracket M_bracket with the beta
@@ -124,7 +124,8 @@ def H_of(chart, t, R, U, U_tilde):
 
 def G_of(chart, t, R, U):
     """G = tr((sigma(t, y) - I)^2) / |y|^4 at y = R U (batched); on radial
-    charts the closed form (d - 1)(1/tl(|y|) - 1)^2 / |y|^4."""
+    charts the closed form (d - 1)(1/tl(|y|) - 1)^2 / |y|^4, summed without
+    cancellation."""
     return chart.at(t, np.asarray(R, dtype=float)[..., None] * U).G()
 
 

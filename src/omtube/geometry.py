@@ -273,8 +273,10 @@ def warped_diagonal(d, profile="bump"):
 # y cot y = sum_n c_n w^n (y coth y for w < 0, the same c_n), h = (d - 1) K / 2
 # and G(w) = (tl^2 - 1)/w = sum_m a_m w^m:
 #     tl = s/y                      = sum_n (-w)^n/(2n+1)!
+#     q = (1/tl - 1)/w = (y - s)/(s w) = sum_n r_(n+1) w^n, y/s = sum_n r_n w^n
 #     A/rho = h (y c/s - (y/s)^2)/w = h sum_n 2n c_n w^(n-1)
 #     C/rho = h (1 - (y/s)^2)/w     = h sum_n (2n - 1) c_n w^(n-1)
+# (q keeps G = (d - 1)(1/tl - 1)^2/rho^4 = (d - 1)(K q)^2 from cancelling),
 # and the curl scalars of the 1-form g b (see ``om.alpha_kernel``)
 #     phi = tl^2 = 1 + w G,    psi = -K G,
 #     P = 2 K d(tl^2)/dw - psi = K sum_m (2m+3) a_m w^m.
@@ -286,19 +288,22 @@ def warped_diagonal(d, profile="bump"):
 _W_CUT = 0.25
 
 
-def _cot_series(n):
-    """c_0, ..., c_(n-1): the cos series divided by the sinc series, in
-    floats (within 1e-15 relative of their Bernoulli-number values)."""
+def _over_sinc(num, n):
+    """The first n coefficients of sum_k num(k) w^k divided by the sinc
+    series, in floats: y cot y (c_n, within 1e-15 relative of their
+    Bernoulli-number values) for the cos series, y/s (r_n) for 1."""
     c = []
     for k in range(n):
-        c.append((-1.0) ** k / math.factorial(2 * k) - sum(
+        c.append(num(k) - sum(
             (-1.0) ** j / math.factorial(2 * j + 1) * c[k - j] for j in range(1, k + 1)))
     return c
 
 
+_COT = _over_sinc(lambda k: (-1.0) ** k / math.factorial(2 * k), 12)
 _TL_SERIES = tuple((-1.0) ** n / math.factorial(2 * n + 1) for n in range(7))
-_A_SERIES = tuple(2 * n * c for n, c in enumerate(_cot_series(12)) if n)
-_C_SERIES = tuple((2 * n - 1) * c for n, c in enumerate(_cot_series(12)) if n)
+_Q_SERIES = tuple(_over_sinc(lambda k: float(k == 0), 12)[1:])
+_A_SERIES = tuple(2 * n * c for n, c in enumerate(_COT) if n)
+_C_SERIES = tuple((2 * n - 1) * c for n, c in enumerate(_COT) if n)
 _G_SERIES = tuple((-1) ** (m + 1) * 2.0 ** (2 * m + 3) / math.factorial(2 * m + 4)
                   for m in range(8))
 _P_SERIES = tuple((2 * m + 3) * a for m, a in enumerate(_G_SERIES))
@@ -332,6 +337,11 @@ class _RadialScalars:
     def tl(self, rho2):
         """Transverse eigenvalue of sigma^-1, so the lower metric has tl^2."""
         return self._rule(rho2, lambda w: _horner(w, _TL_SERIES), lambda w, y, s, c: s / y)
+
+    def q(self, rho2):
+        """(1/tl - 1)/w, without the cancellation of 1/tl - 1."""
+        return self._rule(rho2, lambda w: _horner(w, _Q_SERIES),
+                          lambda w, y, s, c: (y - s) / (s * w))
 
     def coriolis_over_rho(self, rho2):
         """A(rho)/rho where the Coriolis drift is a = A(rho) x/rho."""
@@ -1014,7 +1024,7 @@ class _RadialPoint(_Point):
     """``RadialChart.at``: rho, u and 1/tl(rho) once, and the closed forms
     sigma = u u^T + (1/tl)(I - u u^T), sigma v = v/tl + (1 - 1/tl)(u.v) u,
     a = (A/rho) x, c = (C/rho) x and
-    G = tr((sigma - I)^2) / rho^4 = (d - 1)(1/tl - 1)^2 / rho^4."""
+    G = tr((sigma - I)^2) / rho^4 = (d - 1)(1/tl - 1)^2 / rho^4 = (d - 1)(K q)^2."""
 
     def __init__(self, scalars, x):
         super().__init__(x)
@@ -1053,7 +1063,7 @@ class _RadialPoint(_Point):
         return _rowscale(self.x, self._scalars.bessel_over_rho(self.rho2))
 
     def G(self):
-        return (self._scalars.d - 1) * (self.ti - 1.0) ** 2 / self.rho ** 4
+        return (self._scalars.d - 1) * (self._scalars.K * self._scalars.q(self.rho2)) ** 2
 
 
 class RadialChart(MetricChart):

@@ -194,6 +194,24 @@ def test_radial_scalars_against_mpmath(K, d):
     assert np.max(np.abs(got - want) / np.abs(want)) < 2e-14
 
 
+@pytest.mark.parametrize("K", [1.0, -1.0, 4.0, -0.25])
+@pytest.mark.parametrize("d", [2, 3])
+def test_G_against_mpmath(K, d):
+    import mpmath
+
+    # G = (d - 1)(1/tl - 1)^2 / rho^4 from 1e-6 to the chart bound, where
+    # 1/tl - 1 alone cancels like eps/(|K| rho^2)
+    k = math.sqrt(abs(K))
+    rho = np.append(np.geomspace(1e-6, 0.999 * math.pi / 2, 120),
+                    math.sqrt(geo._W_CUT) * np.array([1 - 1e-9, 1 + 1e-9])) / k
+    x = rho[:, None] * np.eye(d)[0]
+    got = geo._RadialPoint(geo._RadialScalars(K, d), x).G()
+    with mpmath.workdps(40):
+        want = np.array([float((d - 1) * (1 / _mp_radial_scalars(K, d, r * r)[0] - 1) ** 2
+                               / mpmath.mpf(r) ** 4) for r in rho])
+    assert np.max(np.abs(got - want) / want) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # lane kernels
 # ---------------------------------------------------------------------------
