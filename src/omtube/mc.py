@@ -16,10 +16,8 @@ pools; it needs a POSIX ``fork``, and elsewhere one worker runs every slice.
 """
 
 import math
-import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -158,15 +156,20 @@ def _run_pool(job, n_paths, threads):
     ``threads`` (None: ``OMTUBE_THREADS``) sets the number of slices.
     Several slices run in forked workers, which inherit ``job`` with the
     caller's chart, field and forms as they are: nothing is pickled on the
-    way in, so every chart and field pools.
+    way in, so every chart and field pools.  The pool's modules are
+    imported only here, so a run on one worker never loads them.
     """
     slices = _chunk_slices(n_paths, _resolve_threads(threads))
-    if len(slices) > 1 and "fork" in multiprocessing.get_all_start_methods():
+    if len(slices) == 1:
+        return [job(slices[0])]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" in multiprocessing.get_all_start_methods():
         with ProcessPoolExecutor(len(slices), multiprocessing.get_context("fork"),
                                  initializer=_install_job, initargs=(job,)) as pool:
             return list(pool.map(_call_job, slices))
-    if len(slices) > 1:
-        warnings.warn("no fork start method on this platform; running one worker")
+    warnings.warn("no fork start method on this platform; running one worker")
     return [job(s) for s in slices]
 
 

@@ -400,6 +400,15 @@ def test_console_entry_point():
     assert "omtube" in proc.stdout
 
 
+def test_import_does_not_load_the_pool():
+    # mc imports multiprocessing and concurrent.futures only when it forks
+    script = ("import sys, omtube; "
+              "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
 def test_import_does_not_load_scipy():
     # scipy is imported inside the functions that use it, not by the package,
     # and a grid chart's tables are numpy splines: building one and stepping
