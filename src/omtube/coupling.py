@@ -17,7 +17,8 @@ stepping loop of :mod:`omtube.sde` with the ``advance`` that
 step evaluates the chart once at Y (``chart.at``); on radial charts G is
 the closed form (d - 1)(K q)^2 with q = (1/tl(R) - 1)/(K R^2) summed
 without cancellation.  |Yt| is taken once per step, at the exit check,
-and carried to the next step as the lane state ``Rt``.  Each lane carries the records listed once in ``RECORDS``: the
+and carried to the next step as the lane state ``Rt``.  Each lane
+carries the records listed once in ``RECORDS``: the
 inner product <U, Ut> with the prediction of its closed-form SDE
 (coefficients H and G), the compensated exponential's G_int and nu, the
 area martingale's Ito sum M_ito and bracket M_bracket with the beta
@@ -132,8 +133,9 @@ def G_of(chart, t, R, U):
 def _h2_exceeds_g(H, G, R, d):
     """The lanes where H^2 <= G fails beyond rounding.
 
-    Both sides carry a rounding error of a few eps (1/tl) / |1/tl - 1|
-    relative, which exceeds 1e-12 at small R when U is perpendicular to Ut.
+    H, summed from sigma v - v, carries a rounding error of a few
+    eps (1/tl) / |1/tl - 1| relative, which exceeds 1e-12 at small R when
+    U is perpendicular to Ut; G on a radial chart is good to a few eps.
     The lanes that fail a 1e-12 relative slack are checked again with that
     bound, taking |1/tl - 1| = R^2 sqrt(G / (d - 1)) from G itself.
     """

@@ -273,10 +273,11 @@ def warped_diagonal(d, profile="bump"):
 # y cot y = sum_n c_n w^n (y coth y for w < 0, the same c_n), h = (d - 1) K / 2
 # and G(w) = (tl^2 - 1)/w = sum_m a_m w^m:
 #     tl = s/y                      = sum_n (-w)^n/(2n+1)!
-#     q = (1/tl - 1)/w = (y - s)/(s w) = sum_n r_(n+1) w^n, y/s = sum_n r_n w^n
 #     A/rho = h (y c/s - (y/s)^2)/w = h sum_n 2n c_n w^(n-1)
 #     C/rho = h (1 - (y/s)^2)/w     = h sum_n (2n - 1) c_n w^(n-1)
-# (q keeps G = (d - 1)(1/tl - 1)^2/rho^4 = (d - 1)(K q)^2 from cancelling),
+# with y/s = sum_n r_n w^n, the scalar of G = (d - 1)(1/tl - 1)^2/rho^4 =
+# (d - 1)(K q)^2, free of the cancellation in 1/tl - 1,
+#     q = (1/tl - 1)/w = (y - s)/(s w) = sum_n r_(n+1) w^n,
 # and the curl scalars of the 1-form g b (see ``om.alpha_kernel``)
 #     phi = tl^2 = 1 + w G,    psi = -K G,
 #     P = 2 K d(tl^2)/dw - psi = K sum_m (2m+3) a_m w^m.
