@@ -116,15 +116,17 @@ def _rowdot(a, b):
 
 def _rowscale(v, a, op=np.multiply):
     """op(v, a[..., None]) column by column; broadcasting a costs numpy ~3x."""
-    out = np.empty(np.broadcast_shapes(v.shape, np.shape(a) + v.shape[-1:]))
+    if np.ndim(a) == 0:
+        return op(v, a)
+    out = np.empty(np.broadcast(v[..., 0], a).shape + v.shape[-1:])
     for i in range(out.shape[-1]):
         op(v[..., i], a, out=out[..., i])
     return out
 
 
 def _horner(w, coef):
-    """sum_n coef[n] w^n in place, by the operations of ``polyval`` in order."""
-    out = np.full_like(w, coef[-1])
+    """sum_n coef[n] w^n by the operations of ``polyval``, in place on arrays."""
+    out = coef[-1] + w * 0.0
     for c in coef[-2::-1]:
         out *= w
         out += c
@@ -1054,8 +1056,7 @@ class _RadialPoint(_Point):
 
     def sigma_apply(self, v):
         v = np.asarray(v, dtype=float)
-        uv = _rowdot(self.u, v)
-        return _rowscale(v, self.ti) + _rowscale(self.u, (1.0 - self.ti) * uv)
+        return _rowscale(v, self.ti) + _rowscale(self.u, (1.0 - self.ti) * _rowdot(self.u, v))
 
     def coriolis(self):
         return _rowscale(self.x, self._scalars.coriolis_over_rho(self.rho2))

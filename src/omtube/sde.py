@@ -233,8 +233,7 @@ def _step_lanes(advance, steps, dt, state, lanes, exit_time, records):
         stepped, out = advance(k, state)
         state = stepped
         if out is not None and out.any():
-            # index lists and ``take``: boolean or fancy indexing of a 2-d
-            # state costs numpy ~10x as much
+            # ``take`` by index: boolean indexing of a 2-d state costs ~10x
             left, keep = np.flatnonzero(out), np.flatnonzero(~out)
             gone = lanes.take(left)
             exit_time[gone] = (k + 1) * dt
