@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _rng
 from .errors import ChartDomainError, ConstructionError, InsufficientSamplesError
-from .geometry import _rowdot, _rowscale
+from .geometry import _rowdot
 from .sde import _chunks, _step_lanes
 
 __all__ = [
@@ -71,21 +71,25 @@ class JMaps:
 
     @cached_property
     def _gather(self):
-        """(rows, cols, signs) of the d entries +-1 of each J^i, rows rising."""
+        """(rows, cols, signs) of the d entries +-1 of each J^i, rows rising;
+        refuses a J^i that is not a signed permutation in the layout of
+        ``build_J``, so the gather of ``apply`` cannot read it wrongly."""
         i, a, b = np.nonzero(self.J)
-        return a.reshape(self.d, -1), b.reshape(self.d, -1), self.J[i, a, b].reshape(self.d, -1)
+        signs = self.J[i, a, b]
+        if (self.J.shape != (self.d, self.n, self.d) or np.any(np.abs(signs) != 1.0)
+                or np.any(np.bincount(i * self.d + b, minlength=self.d * self.d) != 1)):
+            raise ConstructionError("each J^i must hold one entry +-1 per column")
+        return a.reshape(self.d, -1), b.reshape(self.d, -1), signs.reshape(self.d, -1)
 
     def apply(self, u, w=None):
         """<J u, w> as a d-vector batch; with w=None returns J^i u stacked.
 
-        u: (..., d); w: (..., n).  Output (..., d) resp. (..., d, n), by gathers.
+        u: (..., d); w: (..., n).  Output (..., d) resp. (..., d, n).
         """
+        if w is None:
+            return np.einsum("iab,...b->...ia", self.J, u)
         rows, cols, signs = self._gather
         Ju = signs * np.asarray(u, dtype=float)[..., cols]
-        if w is None:
-            out = np.zeros(Ju.shape[:-1] + (self.n,))
-            out[..., np.arange(self.d)[:, None], rows] = Ju
-            return out
         return _rowdot(Ju, np.asarray(w, dtype=float)[..., rows])
 
 
@@ -232,7 +236,7 @@ def _coupled_advance(chart, jmaps, cfg, forms, gen):
         w1f = sq * gen.standard_normal(Y.shape[0])
         at = chart.at(t, Y)
         R, U = at.rho, at.u
-        Ut = _rowscale(Yt, s["Rt"], np.divide)
+        Ut = Yt / s["Rt"][:, None]
         dB = jmaps.apply(U, dW)
         dBt = jmaps.apply(Ut, dW)
         w0_dev = np.maximum(np.abs(_rowdot(U, dB) - dW[:, 0]), np.abs(_rowdot(Ut, dBt) - dW[:, 0]))

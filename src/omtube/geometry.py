@@ -114,16 +114,6 @@ def _rowdot(a, b):
     return out
 
 
-def _rowscale(v, a, op=np.multiply):
-    """op(v, a[..., None]) column by column; broadcasting a costs numpy ~3x."""
-    if np.ndim(a) == 0:
-        return op(v, a)
-    out = np.empty(np.broadcast(v[..., 0], a).shape + v.shape[-1:])
-    for i in range(out.shape[-1]):
-        op(v[..., i], a, out=out[..., i])
-    return out
-
-
 def _horner(w, coef):
     """sum_n coef[n] w^n by the operations of ``polyval``, in place on arrays."""
     out = coef[-1] + w * 0.0
@@ -935,10 +925,8 @@ class _Point:
 
     @cached_property
     def u(self):
-        zero = self.rho == 0
-        if zero.any():  # x / inf = 0 on the rows at the origin
-            return _rowscale(self.x, np.where(zero, np.inf, self.rho), np.divide)
-        return _rowscale(self.x, self.rho, np.divide)
+        # x / inf = 0 on the rows at the origin
+        return self.x / np.where(self.rho == 0, np.inf, self.rho)[..., None]
 
 
 class _MatrixPoint(_Point):
@@ -1056,13 +1044,13 @@ class _RadialPoint(_Point):
 
     def sigma_apply(self, v):
         v = np.asarray(v, dtype=float)
-        return _rowscale(v, self.ti) + _rowscale(self.u, (1.0 - self.ti) * _rowdot(self.u, v))
+        return self.ti[..., None] * v + ((1.0 - self.ti) * _rowdot(self.u, v))[..., None] * self.u
 
     def coriolis(self):
-        return _rowscale(self.x, self._scalars.coriolis_over_rho(self.rho2))
+        return self._scalars.coriolis_over_rho(self.rho2)[..., None] * self.x
 
     def bessel_drift(self):
-        return _rowscale(self.x, self._scalars.bessel_over_rho(self.rho2))
+        return self._scalars.bessel_over_rho(self.rho2)[..., None] * self.x
 
     def G(self):
         return (self._scalars.d - 1) * (self._scalars.K * self._scalars.q(self.rho2)) ** 2

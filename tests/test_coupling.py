@@ -83,6 +83,16 @@ def test_J_apply_gathers_the_dense_product(d, data):
         assert np.all(np.abs(j.apply(u, w) - dense) <= 2 * np.finfo(float).eps * scale)
 
 
+def test_J_apply_refuses_a_J_it_cannot_gather():
+    j = cp.build_J(3)
+    doubled = j.J.copy()
+    doubled[0, 1, 0] = 0.5  # a second entry in column 0 of J^0
+    scaled = j.J * 2.0
+    for J in (doubled, scaled, j.J[:, :, :2]):
+        with pytest.raises(ConstructionError):
+            cp.JMaps(d=3, n=j.n, J=J).apply(np.ones(3), np.ones(j.n))
+
+
 # ---------------------------------------------------------------------------
 # closed-form per-step quantities
 # ---------------------------------------------------------------------------
