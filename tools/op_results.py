@@ -5,26 +5,29 @@
 SRC is the ``src`` directory of the checkout to import ``omtube`` from.
 Each workload of this checkout's ``perfbench/workloads.py`` runs one op at
 the harness's tiny sizes with seed 1 and one worker, so two trees run the
-same ops.  Six runs that no workload covers come with them: the results
-and the resolved configuration of ``omtube couple`` on S2 with the
-rotational field (so flags keep parsing to the same values and types), the
-states of five single paths of ``sde.simulate_X`` there, the evaluators of
-the warped 3-d chart (the metric, the tabulated sigma v, a and c and the
+same ops.  Runs that no workload covers come with them: the results and
+the resolved configuration of ``omtube couple`` on S2 with the rotational
+field (so flags keep parsing to the same values and types), the states of
+five single paths of ``sde.simulate_X`` there, the evaluators of the
+warped 3-d chart (the metric, the tabulated sigma v, a and c and the
 finite-difference ``om.alpha_kernel`` of its grid chart, and the shot
 chart's metric, sigma v, a and c), whose last bits the ``ratio-warped3``
 survivor counts do not show, and two more finite-difference routes on S2
 (the action of a field without an analytic divergence, and the metric of
 the shooting oracle, whose ambient differences its metric), and every
 record of three coupled ensembles (S2 with and without the rotational
-forms, S3 without), of which the workloads show only a few statistics, and
-the difference and RK4 routes that nothing else reaches (the Stokes
-consistency, finite-difference kernel and divergence of a cubic field on
-S2, the derivative of a custom profile, and the transported frame velocity
-of a circle on H3), and the radial chart evaluators of H3 and S3 on both
-sides of the point where their radial scalars leave the series (no
-workload runs a chart of negative curvature).  The output is one sorted JSON line holding ``cli.SCHEMA`` and the results, so
-two trees can be compared textually: outputs that are meant to stay fixed
-are equal, or the schema differs.
+forms, S3 without), of which the workloads show only a few statistics, the
+rows of the moment experiment for one delta and for an unsorted list that
+holds it (the workload runs one sorted list), and the difference and RK4
+routes that nothing else reaches (the Stokes consistency,
+finite-difference kernel and divergence of a cubic field on S2, the
+derivative of a custom profile, and the transported frame velocity of a
+circle on H3), and the radial chart evaluators of H3 and S3 on both sides
+of the point where their radial scalars leave the series (no workload runs
+a chart of negative curvature).  The output is one sorted JSON line
+holding ``cli.SCHEMA`` and the results, so two trees can be compared
+textually: outputs that are meant to stay fixed are equal, or the schema
+differs.
 """
 
 import contextlib
@@ -58,6 +61,7 @@ def main(src):
     results["warped3-evaluators"] = warped3_evaluators()
     results["s2-difference-routes"] = s2_difference_routes()
     results["coupled-records"] = coupled_records()
+    results["moment-deltas"] = moment_deltas()
     results["difference-routes"] = difference_routes()
     results["radial-scalars"] = radial_scalars()
     print(json.dumps({"schema": cli.SCHEMA, "results": results}, sort_keys=True))
@@ -187,6 +191,22 @@ def coupled_records():
         out[name] = {"h2_le_g_violations": ens.h2_le_g_violations,
                      "w0_identity_dev": ens.w0_identity_dev,
                      **{k: getattr(ens, k).tolist() for k in coupling.RECORDS}}
+    return out
+
+
+def moment_deltas():
+    """The rows of ``mc.conditional_moment_experiment`` along the great
+    circle of S2 for one delta and for an unsorted list of three that holds
+    it: 4096 paths, seed 1, c = 1, T = 0.1, the default time step."""
+    from omtube import geometry, mc, om
+
+    s2 = geometry.sphere(2, 1.0)
+    chart = geometry.fermi_chart(s2, geometry.great_circle_curve(s2, 1.0, 0.1, n_grid=64), 0.875)
+    out = {}
+    for deltas in ([0.35], [0.3, 0.25, 0.35]):
+        rows, bounded = mc.conditional_moment_experiment(
+            chart, om.zero_field(2), deltas=deltas, c=1.0, T=0.1, n_paths=4096, seed=1)
+        out[",".join(map(str, deltas))] = {"rows": rows, "bounded": bounded}
     return out
 
 
