@@ -18,12 +18,13 @@ step evaluates the chart once at Y (``chart.at``); on radial charts G is
 the closed form (d - 1)(K q)^2 with q = (1/tl(R) - 1)/(K R^2) summed
 without cancellation.  |Yt| is taken once per step, at the exit check,
 and carried to the next step as the lane state ``Rt``.  Each lane
-carries the records listed once in ``RECORDS``: the
-inner product <U, Ut> with the prediction of its closed-form SDE
-(coefficients H and G), the compensated exponential's G_int and nu, the
-area martingale's Ito sum M_ito and bracket M_bracket with the beta
-integrals L and L_tilde (Levy-area increments by the Stratonovich
-midpoint rule), and the diagnostics.
+carries the records listed once in ``RECORDS``: the inner product
+<U, Ut> with the prediction of its closed-form SDE (coefficients H and
+G), the compensated exponential's G_int and nu, the area martingale's Ito
+sum M_ito and bracket M_bracket with the beta integrals L and L_tilde
+(Levy-area increments by the Stratonovich midpoint rule), the running
+maximum ``sup_radius`` of |Y| over the grid states, which picks out the
+lanes that stay in any smaller tube, and the diagnostics.
 ``martingale_Mp`` forms M_p from those records.
 """
 
@@ -182,6 +183,7 @@ class CoupledEnsemble:
     max_radial_gap: np.ndarray
     uu_final: np.ndarray
     sup_udiff: np.ndarray      # running max of |U - Ut|
+    sup_radius: np.ndarray     # running max of |Y| over the grid states, launch included
     udiff_final: np.ndarray
     M_ito: np.ndarray
     M_bracket: np.ndarray
@@ -215,10 +217,12 @@ RECORDS = tuple(f.name for f in fields(CoupledEnsemble) if f.type is np.ndarray)
 
 # launch values of the running per-lane state: the records that accumulate
 # along the path, the Lemma-uu prediction behind ``uu_pred_gap`` and the two
-# diagnostics, per lane until the chunk sums and maximizes them
+# diagnostics, per lane until the chunk sums and maximizes them; the launch
+# sets ``sup_radius`` to the launch radius
 _RUNNING = {"max_radial_gap": 0.0, "uu_final": 1.0, "uu_pred": 1.0, "sup_udiff": 0.0,
-            "M_ito": 0.0, "M_bracket": 0.0, "L": 0.0, "L_tilde": 0.0, "G_int": 0.0,
-            "nu": 0.0, "ortho_cov": 0.0, "h2_le_g_violations": 0, "w0_identity_dev": 0.0}
+            "sup_radius": 0.0, "M_ito": 0.0, "M_bracket": 0.0, "L": 0.0, "L_tilde": 0.0,
+            "G_int": 0.0, "nu": 0.0, "ortho_cov": 0.0, "h2_le_g_violations": 0,
+            "w0_identity_dev": 0.0}
 
 
 def _coupled_advance(chart, jmaps, cfg, forms, gen):
@@ -266,7 +270,8 @@ def _coupled_advance(chart, jmaps, cfg, forms, gen):
             # nu's increment takes the left-point running integral of R^2 G
             nu=s["nu"] + R ** 2 * H ** 2 * dt * np.exp(s["G_int"]),
             G_int=s["G_int"] + R ** 2 * G * dt,
-            sup_udiff=np.maximum(s["sup_udiff"], np.sqrt(np.maximum(2.0 * (1.0 - uu), 0.0))))
+            sup_udiff=np.maximum(s["sup_udiff"], np.sqrt(np.maximum(2.0 * (1.0 - uu), 0.0))),
+            sup_radius=np.maximum(s["sup_radius"], Rn))
         if forms is not None:
             kd = np.einsum("mij,mij->m", forms.alpha_ij(t, Y), _area_increment(Y, Yn))
             run.update(M_ito=s["M_ito"] + kd, M_bracket=s["M_bracket"] + kd ** 2,
@@ -324,9 +329,9 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, chunk_range=None)
 
         # full-length records, copied into at exit and at the end, and the
         # compacted running state of the live lanes
-        rec = {k: np.full(m, v) for k, v in _RUNNING.items()}
+        rec = {**{k: np.full(m, v) for k, v in _RUNNING.items()}, "sup_radius": r0}
         state = {"Y": Y.take(lanes, axis=0), "Yt": Y.take(lanes, axis=0), "Rt": r0.take(lanes),
-                 **{k: np.full(lanes.size, v) for k, v in _RUNNING.items()}}
+                 **{k: v.take(lanes) for k, v in rec.items()}}
         _step_lanes(_coupled_advance(chart, j, cfg, forms, gen), range(1, n_steps), dt,
                     state, lanes, tex, rec)
         parts.append(CoupledEnsemble(

@@ -339,22 +339,31 @@ def conditional_moment_experiment(chart, field, *, deltas, c, T, n_paths,
                                   seed=0, dt=None, threads=None):
     """E[exp((c/sqrt(delta)) |U - Ut|(T)) | tube] across a list of deltas.
 
-    All cells share one time step (default: T divided into round steps so
-    that dt <= min(delta)^2/50), so the scaled separations are compared at
-    identical resolution.  Returns (rows, bounded) where each row is a dict
-    with the estimate and its standard error; ``bounded`` is False when a
-    cell exceeds the one before it in the given order of ``deltas`` by 3
-    pooled standard errors, a check as delta decreases only for descending
-    lists, which nothing enforces (ROADMAP item 16 sorts them).
+    The pair's dynamics do not depend on delta, only its exit rule does, so
+    one coupled ensemble at max(deltas) serves every cell: a cell's
+    survivors are the lanes whose ``sup_radius`` stays below its delta, the
+    exit rule of a run at that delta applied to the shared paths.  The
+    max(deltas) row is the run at that delta alone; every other row depends
+    on the list's largest delta, whose run draws the noise, and the rows
+    share lanes, so they are positively correlated.  All cells share one
+    time step (default: T divided into round steps so that
+    dt <= min(delta)^2/50), so the scaled separations are compared at
+    identical resolution.  Returns (rows, bounded), rows in the order of
+    ``deltas``, where each row is a dict with the estimate and its standard
+    error; ``bounded`` is False when a cell exceeds the one before it in
+    the given order of ``deltas`` by 3 pooled standard errors, a check as
+    delta decreases only for descending lists, which nothing enforces
+    (ROADMAP item 16 sorts them).
     """
+    if not deltas or not all(delta > 0 for delta in deltas):
+        raise ConstructionError(f"deltas must be a non-empty list of positive radii, got {deltas}")
     if dt is None:
         dt = sde._auto_dt(T, deltas)
+    ens = run_coupled(chart, field, delta=max(deltas), dt=dt, T=T, n_paths=n_paths,
+                      seed=seed, with_forms=False, threads=threads)
     rows = []
     for delta in deltas:
-        ens = run_coupled(chart, field, delta=delta, dt=dt, T=T,
-                          n_paths=n_paths, seed=seed, with_forms=False,
-                          threads=threads)
-        surv = ens.survived
+        surv = ens.survived & (ens.sup_radius < delta)
         n = int(np.count_nonzero(surv))
         if n < 100:
             raise InsufficientSamplesError(

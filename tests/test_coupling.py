@@ -239,6 +239,20 @@ def test_flat_coupling_is_pathwise_identical(euclid2_chart):
     assert float(np.max(ens.sup_udiff)) < 1e-6  # |U|^2 roundoff only
 
 
+@pytest.mark.filterwarnings("ignore:dt = ")
+@settings(max_examples=8)
+@given(st.integers(0, 2 ** 32), st.sampled_from([0.15, 0.25]))
+def test_sup_radius_is_the_exit_rule(sphere2_chart, seed, delta):
+    # at dt = 0.01 some launches leave at once, so the launch radius is in
+    # the running maximum
+    cfg = sde.IntegratorConfig(dt=0.01, T=0.03, delta=delta, seed=seed)
+    ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 512)
+    exited = ~np.isnan(ens.exit_time)
+    assert ens.n_survive > 0 and np.any(ens.exit_time == cfg.dt)
+    assert np.all(ens.sup_radius[ens.survived] < delta)
+    assert np.all(ens.sup_radius[exited] >= delta)
+
+
 def test_w0_identity_per_step(sphere2_chart):
     cfg = sde.IntegratorConfig(dt=1e-3, T=0.1, delta=0.4, seed=4)
     ens = cp.simulate_coupled_ensemble(sphere2_chart, cfg, 500)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omtube import _rng, coupling, geometry as geo, mc, om, sde
 from omtube.errors import ConstructionError, EstimationError, InsufficientSamplesError
@@ -211,6 +212,53 @@ def test_moment_insufficient(euclid2_chart):
                                          c=1.0, T=1.0, n_paths=2000, seed=5)
 
 
+@pytest.mark.parametrize("deltas", [[], [0.3, 0.0], [-0.2], [0.3, float("nan")]])
+def test_moment_refuses_bad_deltas(euclid2_chart, deltas):
+    with pytest.raises(ConstructionError, match="positive"):
+        mc.conditional_moment_experiment(euclid2_chart, None, deltas=deltas,
+                                         c=1.0, T=0.02, n_paths=2000, seed=5)
+
+
+_MOMENT = dict(c=1.0, T=0.02, n_paths=4000, seed=11)
+
+
+def _moment_rows(chart, deltas, **kw):
+    return mc.conditional_moment_experiment(chart, None, deltas=deltas, **{**_MOMENT, **kw})[0]
+
+
+def test_moment_one_pass_at_the_largest_delta(sphere2_chart):
+    # the largest delta's row is the run at that delta, bit for bit; every
+    # row counts that run's lanes whose sup |Y| stays below its delta
+    deltas = [0.3, 0.2, 0.4]
+    rows = _moment_rows(sphere2_chart, deltas)
+    ens = mc.run_coupled(sphere2_chart, None, delta=0.4, dt=sde._auto_dt(_MOMENT["T"], deltas),
+                         T=_MOMENT["T"], n_paths=_MOMENT["n_paths"], seed=_MOMENT["seed"],
+                         with_forms=False)
+    vals = np.exp((1.0 / math.sqrt(0.4)) * ens.udiff_final[ens.survived])
+    assert rows[2] == {"delta": 0.4, "estimate": float(np.mean(vals)),
+                       "se": float(np.std(vals, ddof=1) / math.sqrt(ens.n_survive)),
+                       "n_survive": ens.n_survive}
+    for row in rows:
+        assert row["n_survive"] == np.count_nonzero(ens.survived & (ens.sup_radius < row["delta"]))
+    assert rows[0]["n_survive"] > rows[1]["n_survive"]
+
+
+@settings(max_examples=4)
+@given(st.permutations([0.2, 0.3, 0.4]))
+def test_moment_rows_follow_the_delta_order(sphere2_chart, deltas):
+    by_delta = {r["delta"]: r for r in _moment_rows(sphere2_chart, [0.4, 0.3, 0.2])}
+    assert _moment_rows(sphere2_chart, deltas) == [by_delta[d] for d in deltas]
+
+
+def test_moment_smaller_delta_agrees_with_its_own_run(sphere2_chart):
+    # the one pass and a run at 0.25 alone (same dt, its own noise) estimate
+    # the same conditional moment
+    shared = _moment_rows(sphere2_chart, [0.4, 0.25], n_paths=8000)[1]
+    own = _moment_rows(sphere2_chart, [0.25], n_paths=8000)[0]
+    assert shared["n_survive"] != own["n_survive"]
+    assert abs(shared["estimate"] - own["estimate"]) <= 3 * math.hypot(shared["se"], own["se"])
+
+
 # ---------------------------------------------------------------------------
 # bootstrap validation
 # ---------------------------------------------------------------------------
@@ -255,6 +303,7 @@ def test_pooled_coupled_matches_one_worker():
         dt=5e-4, T=0.02, n_paths=n, seed=9)
     assert one.n_paths == n and 0 < one.n_survive < n
     assert np.any(one.M_ito != 0) and np.any(one.L != 0)
+    assert "sup_radius" in coupling.RECORDS
     _assert_same_ensemble(one, two)
 
 
