@@ -12,13 +12,14 @@ five single paths of ``sde.simulate_X`` there, the evaluators of the
 warped 3-d chart (the metric, the tabulated sigma v, a and c and the
 finite-difference ``om.alpha_kernel`` of its grid chart, and the shot
 chart's metric, sigma v, a and c), whose last bits the ``ratio-warped3``
-survivor counts do not show, and two more finite-difference routes on S2
+survivor counts do not show, the end points and Jacobi fields of single
+geodesics shot on either side of the step-count boundaries, and two more finite-difference routes on S2
 (the action of a field without an analytic divergence, and the metric of
 the shooting oracle, whose ambient differences its metric), and every
 record of three coupled ensembles (S2 with and without the rotational
 forms, S3 without), of which the workloads show only a few statistics, the
-rows of the moment experiment for one delta and for an unsorted list that
-holds it (the workload runs one sorted list), and the difference and RK4
+rows of the moment experiment for one delta and, on a seed of its own,
+for an unsorted list that holds it (the workload runs one sorted list), and the difference and RK4
 routes that nothing else reaches (the Stokes consistency,
 finite-difference kernel and divergence of a cubic field on S2, the
 derivative of a custom profile, and the transported frame velocity of a
@@ -59,6 +60,7 @@ def main(src):
     results["paths-x-s2-rot"] = paths_x_s2_rot()
     results["paths-x-s3"] = paths_x_s3()
     results["warped3-evaluators"] = warped3_evaluators()
+    results["shot-ends"] = shot_ends()
     results["s2-difference-routes"] = s2_difference_routes()
     results["coupled-records"] = coupled_records()
     results["moment-deltas"] = moment_deltas()
@@ -153,6 +155,33 @@ def warped3_evaluators():
             "shot_bessel_drift": at.bessel_drift().tolist()}
 
 
+def shot_ends():
+    """The end point and the Jacobi fields J of ``ShotChart._shoot``, one
+    geodesic at a time, on the warped 3-d chart at |X| = 0.24, 0.3 and 0.5
+    times 1 -+ 1e-6, on either side of the lengths where the RK4 takes one
+    more step (every 0.02 from 0.24 on), and on the S2 shooting oracle at
+    one point."""
+    import numpy as np
+    from omtube import geometry
+
+    warped = geometry.fermi_chart(
+        geometry.warped_diagonal(3, "bump_strong"),
+        geometry.constant_curve(T=0.005, point=[0.35, 0.15, -0.25]), 0.3)
+    s2 = geometry.sphere(2, 1.0)
+    oracle = geometry.fermi_chart(s2, geometry.constant_curve(T=0.5, point=[0.4, 0.2]), 0.5,
+                                  method="shoot")
+    dirs = np.array([[0.6, -0.48, 0.64], [-0.36, 0.48, 0.8], [0.0, 0.6, -0.8]])
+    points = [(length * (1 + side)) * u for u, length in zip(dirs, (0.24, 0.3, 0.5))
+              for side in (-1e-6, 1e-6)]
+    out = {}
+    for name, chart, pts in (("warped", warped, points), ("s2_oracle", oracle, [[0.3, -0.2]])):
+        out[name] = []
+        for x in pts:
+            end, J = chart._shoot(0.0, np.array([x]))
+            out[name].append({"x": list(x), "end": end[0].tolist(), "J": J[0].tolist()})
+    return out
+
+
 def s2_difference_routes():
     """The action on S2 of a field given without its divergence, and the
     S2 shooting oracle's metric at three points."""
@@ -196,16 +225,17 @@ def coupled_records():
 
 def moment_deltas():
     """The rows of ``mc.conditional_moment_experiment`` along the great
-    circle of S2 for one delta and for an unsorted list of three that holds
-    it: 4096 paths, seed 1, c = 1, T = 0.1, the default time step."""
+    circle of S2 for one delta (seed 1, the ``moment-s2`` op's) and for an
+    unsorted list of three that holds it (seed 2, so its rows pin bits of
+    their own): 4096 paths, c = 1, T = 0.1, the default time step."""
     from omtube import geometry, mc, om
 
     s2 = geometry.sphere(2, 1.0)
     chart = geometry.fermi_chart(s2, geometry.great_circle_curve(s2, 1.0, 0.1, n_grid=64), 0.875)
     out = {}
-    for deltas in ([0.35], [0.3, 0.25, 0.35]):
+    for deltas, seed in (([0.35], 1), ([0.3, 0.25, 0.35], 2)):
         rows, bounded = mc.conditional_moment_experiment(
-            chart, om.zero_field(2), deltas=deltas, c=1.0, T=0.1, n_paths=4096, seed=1)
+            chart, om.zero_field(2), deltas=deltas, c=1.0, T=0.1, n_paths=4096, seed=seed)
         out[",".join(map(str, deltas))] = {"rows": rows, "bounded": bounded}
     return out
 
