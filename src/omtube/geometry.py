@@ -99,10 +99,12 @@ __all__ = [
 
 def _jacobian(f, x, h):
     """out[..., j] = d_j f(x) for points x of shape (..., d): 4th-order
-    central differences of step h, four calls of f per axis."""
+    central differences of step h, from one call of f on the 4 d stencil
+    points stacked in front of x's shape, so f must treat each point alone."""
     x = np.asarray(x, dtype=float)
-    return np.stack([(f(x - 2 * h * e) - 8 * f(x - h * e) + 8 * f(x + h * e)
-                      - f(x + 2 * h * e)) / (12 * h) for e in np.eye(x.shape[-1])], axis=-1)
+    f4 = f(np.stack([x + c * h * e for e in np.eye(x.shape[-1]) for c in (-2, -1, 1, 2)]))
+    return np.stack([(f4[k] - 8 * f4[k + 1] + 8 * f4[k + 2] - f4[k + 3]) / (12 * h)
+                     for k in range(0, len(f4), 4)], axis=-1)
 
 
 def _rowdot(a, b):
@@ -111,6 +113,15 @@ def _rowdot(a, b):
     out = a[..., 0] * b[..., 0]
     for i in range(1, a.shape[-1]):
         out += a[..., i] * b[..., i]
+    return out
+
+
+def _leaddot(a, b):
+    """sum_i a[i] b[i] over the leading (component) axis, left to right:
+    ``_rowdot`` for arrays whose points run along the last axis."""
+    out = a[0] * b[0]
+    for i in range(1, len(a)):
+        out += a[i] * b[i]
     return out
 
 
@@ -123,18 +134,40 @@ def _horner(w, coef):
     return out
 
 
-def _rk4(rate, t0, state, h, n):
+def _rk4(rate, t0, state, h, n, t1=None):
     """n classical RK4 steps of size h of a state given as a list of arrays,
-    d state / dt = rate(t, state); step j starts at t = t0 + j h."""
-    for j in range(n):
-        t = t0 + j * h
+    d state / dt = rate(t, state); step j starts at t = t0 + j h.
+
+    With an end time ``t1``, h and n hold a step size and a step count per
+    lane, the last axis of every state array, with n non-increasing along
+    it: lane i takes n[i] - 1 steps of size h[i] and a last one that ends
+    at t1.  Step j advances only the lanes still stepping, a prefix that
+    shrinks, and hands ``rate`` that prefix and its times; each lane's
+    values do not depend on the other lanes."""
+
+    def step(t, state, h):
         k1 = rate(t, state)
         k2 = rate(t + h / 2, [a + h / 2 * k for a, k in zip(state, k1)])
         k3 = rate(t + h / 2, [a + h / 2 * k for a, k in zip(state, k2)])
         k4 = rate(t + h, [a + h * k for a, k in zip(state, k3)])
-        state = [a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
-    return state
+        return [a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
+                for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
+
+    if t1 is None:
+        for j in range(n):
+            state = step(t0 + j * h, state, h)
+        return state
+    out = [np.empty_like(a) for a in state]
+    last = t1 - (t0 + (n - 1) * h)
+    live = len(n)
+    for j in range(int(np.max(n, initial=0))):
+        ending = int(np.count_nonzero(n > j + 1))  # lanes [ending, live) end at this step
+        hj = np.concatenate([h[:ending], last[ending:live]])
+        state = step(t0 + j * h[:live], [a[..., :live] for a in state], hj)
+        for o, a in zip(out, state):
+            o[..., ending:live] = a[..., ending:]
+        live = ending
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -540,17 +573,13 @@ class DiagonalAmbient:
         g[..., idx, idx] = w
         return g
 
-    def _radial(self, y):
-        """w and w' at rho = |y|, and u = y / rho (y itself near the origin)."""
+    def grad_w(self, y):
+        """d_j w_k = w_k'(rho) u_j as [..., k, j], u = y / rho (y itself near
+        the origin)."""
         y = np.asarray(y, dtype=float)
         rho = np.linalg.norm(y, axis=-1)
         safe = np.where(rho > 1e-12, rho, 1.0)
-        return self._w(rho), self._dw(rho), y / safe[..., None]
-
-    def grad_w(self, y):
-        """d_j w_k as [..., k, j]."""
-        _, dw, u = self._radial(y)
-        return dw[..., :, None] * u[..., None, :]
+        return self._dw(rho)[..., :, None] * (y / safe[..., None])[..., None, :]
 
     def christoffel(self, y):
         """Gamma^k_ij as [..., k, i, j]."""
@@ -564,16 +593,34 @@ class DiagonalAmbient:
                 - np.einsum("ij,...ik->...kij", eye, dw))
         return 0.5 * term / w[..., :, None, None]
 
-    def geodesic_acc(self, y, v):
-        """-Gamma^k_ij v^i v^j from the non-zero Christoffels alone:
-        Gamma^k_kj = Gamma^k_jk = (0.5 d_j w_k) / w_k and, for i != k,
-        Gamma^k_ii = -(0.5 d_k w_i) / w_k.  Summing (Gamma^k_ij v^i) v^j from
-        +0 in (i, j) order is the einsum of ``christoffel`` with v twice, bit
-        for bit, as a skipped zero would add +-0 to a sum that is never -0.
-        The component axis goes first, so each operation runs over the points.
+    def geodesic_rates(self, y, v, J, Jd):
+        """The geodesic acceleration acc = -Gamma^k_ij v^i v^j at (y, v) and
+        its linearization D acc (J, Jd) along the columns of J (in y) and Jd
+        (in v), from one evaluation of rho, w, p' and p''.  Component axes
+        go first and points last: y and v are (d, ...), J and Jd (d, d, ...)
+        with J[a, c] the a-th component of column c; acc is (d, ...) and the
+        linearization (d, d, ...), laid out as J.
+
+        acc sums the non-zero Christoffels alone: Gamma^k_kj = Gamma^k_jk =
+        (0.5 d_j w_k) / w_k and, for i != k, Gamma^k_ii = -(0.5 d_k w_i) / w_k.
+        Summing (Gamma^k_ij v^i) v^j from +0 in (i, j) order is the einsum of
+        ``christoffel`` with v twice, bit for bit, as a skipped zero would add
+        +-0 to a sum that is never -0.
+
+        The linearization is closed form.  With grad p = q y, q = p'(rho)/rho
+        (p''(0) at the origin), acc = -B/(2w) where B = 2 beta v (grad p . v)
+        - grad p (beta . v^2).  Along (dy, dv): d grad p = (p'' - q)(u . dy) u
+        + q dy, dw = beta (grad p . dy), and d acc = (dw / 2w^2) B - dB / (2w).
         """
-        w, dw, u, v = (np.moveaxis(a, -1, 0).copy() for a in (*self._radial(y), v))
-        half = 0.5 * (dw[:, None] * u[None, :])  # 0.5 d_j w_k as [k, j, ...]
+        rho = np.sqrt(_leaddot(y, y))
+        small = rho <= 1e-12
+        safe = np.where(small, 1.0, rho)
+        u = y / safe
+        beta = self.beta.reshape((-1,) + (1,) * rho.ndim)
+        dp, d2p = self.profile.deriv(rho), self.profile.deriv2(rho)
+        w = 1.0 + beta * (self.profile(rho) - self.p0)
+
+        half = 0.5 * ((beta * dp)[:, None] * u[None, :])  # 0.5 d_j w_k as [k, j, ...]
         own = half / w[:, None]  # Gamma^k_kj as [k, j, ...]
         ii = -np.swapaxes(half, 0, 1) / w[:, None]  # Gamma^k_ii as [k, i, ...]
         idx = np.arange(self.d)
@@ -586,44 +633,22 @@ class DiagonalAmbient:
                 else:
                     acc[i] += (own[i, j] * v[i]) * v[j]
                     acc[j] += (own[j, i] * v[i]) * v[j]
-        return -np.moveaxis(acc, 0, -1)
 
-    def geodesic_jvp(self, y, v, J, Jd):
-        """Linearization of ``geodesic_acc`` at (y, v) along the columns of J
-        (in y) and Jd (in v), as [..., k, c], in closed form in w, w', w''.
-
-        With grad p = q y, q = p'(rho)/rho (p''(0) at the origin), the
-        acceleration is -B/(2w) where B = 2 beta v (grad p . v) - grad p
-        (beta . v^2).  Along (dy, dv): d grad p = (p'' - q)(u . dy) u + q dy,
-        dw = beta (grad p . dy), and d acc = (dw / 2w^2) B - dB / (2w).
-        """
-        # component axes first, so each operation runs over the points
-        y, v = (np.moveaxis(np.asarray(a, dtype=float), -1, 0).copy() for a in (y, v))
-        J, Jd = (np.moveaxis(np.asarray(a, dtype=float), (-2, -1), (0, 1)).copy()
-                 for a in (J, Jd))
-        rho = np.linalg.norm(y, axis=0)
-        small = rho <= 1e-12
-        safe = np.where(small, 1.0, rho)
-        u = y / safe
-        q = np.where(small, self.profile.deriv2(0.0), self.profile.deriv(rho) / safe)
-        beta = self.beta.reshape((-1,) + (1,) * rho.ndim)
-        w = np.moveaxis(self._w(rho), -1, 0)
-
-        def dot(a, M):  # sum_i a^i M^i_c
-            return np.einsum("i...,ic...->c...", a, M)
-
-        grad = q * y
-        grad_v = np.sum(grad * v, axis=0)
-        beta_v2 = np.sum(beta * v * v, axis=0)
-        B = 2 * beta * v * grad_v - grad * beta_v2
-        dgrad = ((self.profile.deriv2(rho) - q) * u)[:, None] * dot(u, J) + q * J
-        dw = beta[:, None] * dot(grad, J)
-        dgrad_v = dot(v, dgrad) + dot(grad, Jd)
-        dbeta_v2 = 2 * dot(beta * v, Jd)
-        dB = (2 * beta[:, None] * (Jd * grad_v + v[:, None] * dgrad_v)
-              - dgrad * beta_v2 - grad[:, None] * dbeta_v2)
-        out = dw * (B / (2 * w * w))[:, None] - dB / (2 * w)[:, None]
-        return np.moveaxis(out, (0, 1), (-2, -1)).copy()
+        q = np.where(small, self.profile.deriv2(0.0), dp / safe)
+        grad, bv, a = q * y, beta * v, (d2p - q) * u  # d grad p = a (u . dy) + q dy
+        grad_v, beta_v2 = _leaddot(grad, v), _leaddot(bv, v)
+        B = 2 * bv * grad_v - grad * beta_v2
+        uJ = _leaddot(u, J)
+        dgrad_v = _leaddot(v, a) * uJ + q * _leaddot(v, J) + _leaddot(grad, Jd)
+        # 2w d acc = (dw / w) B - dB, each term an outer product over (k, c)
+        jvp = (beta * B / w)[:, None] * _leaddot(grad, J)
+        jvp -= (2 * beta * grad_v)[:, None] * Jd
+        jvp -= (2 * bv)[:, None] * dgrad_v
+        jvp += (beta_v2 * a)[:, None] * uJ
+        jvp += (beta_v2 * q) * J
+        jvp += grad[:, None] * (2 * _leaddot(bv, Jd))
+        jvp /= (2 * w)[:, None]
+        return -acc, jvp
 
     def dchristoffel(self, y):
         """d_l Gamma^k_ij as [..., l, k, i, j], closed form from w, w', w''."""
@@ -681,15 +706,17 @@ class CallableAmbient:
         # tmp[m,i,j] = d_i g_mj + d_j g_mi - d_m g_ij
         return 0.5 * np.einsum("...km,...mij->...kij", ginv, tmp)
 
-    def geodesic_acc(self, y, v):
-        """-Gamma^k_ij v^i v^j from the finite-difference Christoffels."""
-        return -np.einsum("...kij,...i,...j->...k", self.christoffel(y), v, v)
-
-    def geodesic_jvp(self, y, v, J, Jd):
-        """Linearization of ``geodesic_acc`` along the columns of J (in y)
-        and Jd (in v): -d_l Gamma^k_ij J^l v^i v^j - 2 Gamma^k_ij v^i Jd^j."""
-        return (-np.einsum("...lkij,...lc,...i,...j->...kc", self.dchristoffel(y), J, v, v)
-                - 2 * np.einsum("...kij,...i,...jc->...kc", self.christoffel(y), v, Jd))
+    def geodesic_rates(self, y, v, J, Jd):
+        """``DiagonalAmbient.geodesic_rates`` from the finite-difference
+        Christoffels: acc = -Gamma^k_ij v^i v^j and its linearization
+        -d_l Gamma^k_ij J^l v^i v^j - 2 Gamma^k_ij v^i Jd^j, in its layout."""
+        y, v = (np.moveaxis(a, 0, -1) for a in (y, v))
+        J, Jd = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (J, Jd))
+        gam = self.christoffel(y)
+        acc = -np.einsum("...kij,...i,...j->...k", gam, v, v)
+        jvp = (-np.einsum("...lkij,...lc,...i,...j->...kc", self.dchristoffel(y), J, v, v)
+               - 2 * np.einsum("...kij,...i,...jc->...kc", gam, v, Jd))
+        return np.moveaxis(acc, -1, 0), np.moveaxis(jvp, (-2, -1), (0, 1))
 
     def dchristoffel(self, y):
         y = np.asarray(y, dtype=float)
@@ -1089,20 +1116,26 @@ class RadialChart(MetricChart):
         return _constant_curvature_data(self.model.curv, self.d, t)
 
 
-# RK4 step bound along the unit-time geodesic parameterization
+# RK4 step bound, in arc length, of a geodesic shot to X: its unit-time
+# step is min(1/12, _SHOT_MAX_STEP / |X|), so at least 12 steps
 _SHOT_MAX_STEP = 0.02
 
 
 class ShotChart(MetricChart):
     """Numerical Fermi chart over an ambient metric.
 
-    Geodesics are integrated with a classical RK4 whose acceleration is the
-    ambient's ``geodesic_acc(y, v)`` = -Gamma^k_ij v^i v^j.  The same RK4
-    integrates the variational (Jacobi) equation along each geodesic,
-    J'' = D acc(y, v) (J, J') by the ambient's ``geodesic_jvp``, from J = 0
-    and J' = the frame, so J(1) is the Jacobian of the exponential map in
-    frame coordinates and the chart metric is its pull-back J^T G(y) J: one
-    geodesic per point, no difference stencil (Gray, *Tubes*, ch. 2).
+    Geodesics are integrated with a classical RK4 whose rate comes from the
+    ambient's ``geodesic_rates``: the acceleration -Gamma^k_ij v^i v^j and,
+    for the variational (Jacobi) equation along each geodesic,
+    J'' = D acc(y, v) (J, J'), integrated from J = 0 and J' = the frame.
+    So J(1) is the Jacobian of the exponential map in frame coordinates and
+    the chart metric is its pull-back J^T G(y) J: one geodesic per point, no
+    difference stencil (Gray, *Tubes*, ch. 2).  Each point X takes its own
+    steps: unit-time steps of min(1/12, _SHOT_MAX_STEP / |X|) laid from the
+    start, at most 0.02 of arc length and at least 12 of them, and one
+    shorter last step that ends at t = 1.  So a point's metric does not
+    depend on the batch it is evaluated in, and the end point and J are
+    continuous in X, with no jump where the step count changes.
     ``centers`` maps t to the ambient point gamma(t) and ``frames`` to the
     (d, d) matrix whose columns are the transported frame vectors there.
     """
@@ -1115,23 +1148,29 @@ class ShotChart(MetricChart):
 
     def _shoot(self, t, X):
         """exp_{gamma(t)}(X^i e_i(t)) for a batch X of shape (m, d), and its
-        Jacobian J[m, a, i] = d end^a / d X^i."""
+        Jacobian J[m, a, i] = d end^a / d X^i.  The RK4 state holds the
+        points in order of falling step count along its last axis."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         m, d = X.shape
+        length = np.sqrt(_rowdot(X, X))
+        h = np.minimum(1 / 12, _SHOT_MAX_STEP / np.maximum(length, _SHOT_MAX_STEP))
+        n = np.ceil(1 / h).astype(int)
+        order = np.argsort(-n, kind="stable")
         E = self.frames(t)
-        y = np.broadcast_to(self.centers(t), (m, d)).copy()
-        v = X @ E.T
-        state = (y, v, np.zeros((m, d, d)), np.broadcast_to(E, (m, d, d)).copy())
-        speed = float(np.max(np.linalg.norm(X, axis=1), initial=0.0))
-        n = max(12, int(math.ceil(speed / _SHOT_MAX_STEP)))
-        acc, jvp = self.ambient.geodesic_acc, self.ambient.geodesic_jvp
+        y = np.repeat(np.asarray(self.centers(t), dtype=float)[:, None], m, axis=1)
+        v = _leaddot(E.T[:, :, None], X[order].T[:, None, :])  # v^a = E^a_i X^i
+        Jd = np.repeat(E[:, :, None], m, axis=2)
+        rates = self.ambient.geodesic_rates
 
         def rate(_, s):
             y, v, J, Jd = s
-            return v, acc(y, v), Jd, jvp(y, v, J, Jd)
+            acc, jvp = rates(y, v, J, Jd)
+            return v, acc, Jd, jvp
 
-        y, _, J, _ = _rk4(rate, 0.0, state, 1.0 / n, n)
-        return y, J
+        y, _, J, _ = _rk4(rate, 0.0, [y, v, np.zeros_like(Jd), Jd], h[order], n[order], 1.0)
+        end, jac = np.empty((m, d)), np.empty((m, d, d))
+        end[order], jac[order] = y.T, np.moveaxis(J, -1, 0)
+        return end, jac
 
     def metric(self, t, x):
         X = np.asarray(x, dtype=float)

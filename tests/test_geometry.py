@@ -372,6 +372,34 @@ def test_jacobi_metric_matches_shot_differences(warped3_chart):
     assert np.max(np.abs(warped3_chart.metric(0.0, x) - g)) < 1e-8
 
 
+def test_shot_metric_does_not_depend_on_its_batch(warped3_chart):
+    # each geodesic takes its own RK4 steps, so a point's metric is the same
+    # bits alone and among points out to the cube corners, whose step counts
+    # differ (12 up to |x| = 0.24, 27 at |x| = 0.52)
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.uniform(-0.3, 0.3, (17, 3)), 0.3 * np.array(
+        [[1.0, 1.0, 1.0], [-1.0, 1.0, -1.0], [0.0, 0.0, 0.0]])])
+    assert np.max(np.linalg.norm(x, axis=1)) > 0.5
+    g = warped3_chart.metric(0.0, x)
+    for i in range(len(x)):
+        assert np.array_equal(warped3_chart.metric(0.0, x[i:i + 1])[0], g[i]), i
+
+
+@pytest.mark.parametrize("k", [12, 13, 20, 26])
+def test_shot_ends_are_continuous_where_the_step_count_changes(warped3_chart, k):
+    # at |X| = 0.02 k a geodesic takes one more step; its end point and J
+    # change across that length as they do on either side of it: the end
+    # by J dX to within 1e-15 (at one step count for the whole batch, the
+    # jump was 4e-11 to 8e-11), J by the same difference as one step further
+    # on to within 1e-14 (1.4e-9 to 2.5e-10)
+    u = np.array([[0.6, -0.48, 0.64], [-0.36, 0.48, 0.8], [0.0, 0.6, -0.8]])
+    for s in u:
+        X = np.array([0.02 * k * (1 + r) * s for r in (-1e-9, 1e-9, 3e-9)])
+        end, J = zip(*(warped3_chart._shoot(0.0, p[None]) for p in X))
+        assert np.max(np.abs(end[1] - end[0] - J[1] @ (X[1] - X[0]))) < 1e-15
+        assert np.max(np.abs((J[1] - J[0]) - (J[2] - J[1]))) < 1e-14
+
+
 def test_warped_chart_identities(warped3_chart):
     rng = np.random.default_rng(2)
     x = random_ball_points(rng, 3, 0.28, 40)
@@ -418,6 +446,13 @@ def test_moving_shot_chart_frame():
         assert abs(np.linalg.norm(ch.velocity_frame(t)) - speed) < 1e-6
 
 
+def _rates(ambient, y, v, J, Jd):
+    """``geodesic_rates`` at rows of points: y and v of shape (n, d), J and
+    Jd of shape (n, d, d), and acc and its linearization laid out alike."""
+    acc, jvp = ambient.geodesic_rates(y.T, v.T, np.moveaxis(J, 0, -1), np.moveaxis(Jd, 0, -1))
+    return acc.T, np.moveaxis(jvp, -1, 0)
+
+
 def _ambient_case(d):
     """(d, y, v): one to four rows of points y and velocities v in R^d."""
     row = st.lists(st.floats(-1.5, 1.5), min_size=2 * d, max_size=2 * d)
@@ -434,7 +469,7 @@ def test_geodesic_acc_equals_christoffel_einsum(profile, case):
     d, y, v = case
     amb = geo.DiagonalAmbient(d, np.arange(1, d + 1) / d, geo.PROFILES[profile])
     want = -np.einsum("...kij,...i,...j->...k", amb.christoffel(y), v, v)
-    got = amb.geodesic_acc(y, v)
+    got = _rates(amb, y, v, *[np.zeros(y.shape + (d,))] * 2)[0]
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -466,20 +501,20 @@ def test_geodesic_jvp(profile, case):
             - 2 * np.einsum("...kij,...i,...jc->...kc", gam, v, Jd))
     size = (np.einsum("...lkij,...lc,...i,...j->...kc", *map(np.abs, (dgam, J, v, v)))
             + 2 * np.einsum("...kij,...i,...jc->...kc", *map(np.abs, (gam, v, Jd))))
-    got = amb.geodesic_jvp(y, v, J, Jd)
+    got = _rates(amb, y, v, J, Jd)[1]
     assert np.all(np.abs(got - want) <= 1e-12 * size)
     for ambient, eps, tol in ((amb, 1e-5, 1e-8),
                               (geo.CallableAmbient(d, amb.metric), 1e-4, 1e-5)):
-        fd = np.stack([(ambient.geodesic_acc(y + eps * J[..., c], v + eps * Jd[..., c])
-                        - ambient.geodesic_acc(y - eps * J[..., c], v - eps * Jd[..., c]))
+        fd = np.stack([(_rates(ambient, y + eps * J[..., c], v + eps * Jd[..., c], J, Jd)[0]
+                        - _rates(ambient, y - eps * J[..., c], v - eps * Jd[..., c], J, Jd)[0])
                        / (2 * eps) for c in range(d)], axis=-1)
-        assert np.max(np.abs(ambient.geodesic_jvp(y, v, J, Jd) - fd)) <= tol * (1 + np.max(size))
+        assert np.max(np.abs(_rates(ambient, y, v, J, Jd)[1] - fd)) <= tol * (1 + np.max(size))
 
 
 def test_numeric_point_equals_evaluators(warped3_chart):
     # on a shot chart ``at`` evaluates the metric once per point: at x, whose
-    # g^-1 gives sigma and c, and at the 12 points of the Coriolis stencil;
-    # the chart's evaluators read it
+    # g^-1 gives sigma and c, and at the 12 points of the Coriolis stencil,
+    # stacked into one call; the chart's evaluators read it
     rng = np.random.default_rng(8)
     x = random_ball_points(rng, 3, 0.25, 3)
     v = rng.standard_normal(x.shape)
@@ -502,7 +537,7 @@ def test_numeric_point_equals_evaluators(warped3_chart):
     rho = np.linalg.norm(x, axis=-1)
     assert np.array_equal(p.bessel_drift(), ((3 - tr) / (2 * rho ** 2))[:, None] * x)
     a = p.coriolis()
-    assert len(calls) == 13
+    assert [p.shape for p in calls] == [x.shape, (12,) + x.shape]
     assert np.array_equal(a, chart.coriolis(0.0, x))
     assert np.array_equal(p.sigma_apply(v), chart.sigma_apply(0.0, x, v))
 
