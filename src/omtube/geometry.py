@@ -640,7 +640,8 @@ class DiagonalAmbient:
         B = 2 * bv * grad_v - grad * beta_v2
         uJ = _leaddot(u, J)
         dgrad_v = _leaddot(v, a) * uJ + q * _leaddot(v, J) + _leaddot(grad, Jd)
-        # 2w d acc = (dw / w) B - dB, each term an outer product over (k, c)
+        # 2w d acc = (dw / w) B - dB, dB = 2 beta (Jd grad_v + v dgrad_v)
+        #   - dgrad beta_v2 - grad dbeta_v2, summed term by term over (k, c)
         jvp = (beta * B / w)[:, None] * _leaddot(grad, J)
         jvp -= (2 * beta * grad_v)[:, None] * Jd
         jvp -= (2 * bv)[:, None] * dgrad_v

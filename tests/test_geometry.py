@@ -389,9 +389,8 @@ def test_shot_metric_does_not_depend_on_its_batch(warped3_chart):
 def test_shot_ends_are_continuous_where_the_step_count_changes(warped3_chart, k):
     # at |X| = 0.02 k a geodesic takes one more step; its end point and J
     # change across that length as they do on either side of it: the end
-    # by J dX to within 1e-15 (at one step count for the whole batch, the
-    # jump was 4e-11 to 8e-11), J by the same difference as one step further
-    # on to within 1e-14 (1.4e-9 to 2.5e-10)
+    # by J dX to within 1e-15, J by its change over the next 2e-9 |X| to
+    # within 1e-14 (a jump in the step count would move J by 1e-10 to 1e-9)
     u = np.array([[0.6, -0.48, 0.64], [-0.36, 0.48, 0.8], [0.0, 0.6, -0.8]])
     for s in u:
         X = np.array([0.02 * k * (1 + r) * s for r in (-1e-9, 1e-9, 3e-9)])
