@@ -12,7 +12,9 @@ five single paths of ``sde.simulate_X`` there, the evaluators of the
 warped 3-d chart (the metric, the tabulated sigma v, a and c and the
 finite-difference ``om.alpha_kernel`` of its grid chart, and the shot
 chart's metric, sigma v, a and c), whose last bits the ``ratio-warped3``
-survivor counts do not show, the end points and Jacobi fields of single
+survivor counts do not show, the geodesic acceleration and its
+linearization of the warped 3-d ambient for each profile at three points,
+which the shooting RK4 runs but no end point pins alone, the end points and Jacobi fields of single
 geodesics shot on either side of the step-count boundaries, and two more finite-difference routes on S2
 (the action of a field without an analytic divergence, and the metric of
 the shooting oracle, whose ambient differences its metric), and every
@@ -60,6 +62,7 @@ def main(src):
     results["paths-x-s2-rot"] = paths_x_s2_rot()
     results["paths-x-s3"] = paths_x_s3()
     results["warped3-evaluators"] = warped3_evaluators()
+    results["ambient-rates"] = ambient_rates()
     results["shot-ends"] = shot_ends()
     results["s2-difference-routes"] = s2_difference_routes()
     results["coupled-records"] = coupled_records()
@@ -153,6 +156,28 @@ def warped3_evaluators():
             "shot_sigma_v": at.sigma_apply(v).tolist(),
             "shot_coriolis": at.coriolis().tolist(),
             "shot_bessel_drift": at.bessel_drift().tolist()}
+
+
+def ambient_rates():
+    """acc and its linearization from ``DiagonalAmbient.geodesic_rates`` of
+    the warped 3-d ambient with each of ``bump``, ``bump_strong`` and
+    ``well``, at y = 0, (0.35, 0.15, -0.25) and (-0.9, 0.05, -0.05), with one
+    fixed v, J and Jd at every point."""
+    import numpy as np
+    from omtube import geometry
+
+    y = np.array([[0.0, 0.0, 0.0], [0.35, 0.15, -0.25], [-0.9, 0.05, -0.05]]).T
+    v = np.repeat(np.array([[0.3], [-1.0], [0.5]]), 3, axis=1)
+    J = np.repeat(np.array([[1.0, 0.2, -0.4], [0.0, -0.7, 0.3], [0.5, 0.1, 1.2]])[..., None],
+                  3, axis=2)
+    Jd = np.repeat(np.array([[-0.3, 0.8, 0.0], [1.1, 0.4, -0.6], [0.2, -0.9, 0.7]])[..., None],
+                   3, axis=2)
+    out = {}
+    for name in ("bump", "bump_strong", "well"):
+        ambient = geometry.DiagonalAmbient(3, np.arange(1, 4) / 3, geometry.PROFILES[name])
+        acc, jvp = ambient.geodesic_rates(y, v, J, Jd)
+        out[name] = {"acc": acc.T.tolist(), "jvp": np.moveaxis(jvp, -1, 0).tolist()}
+    return out
 
 
 def shot_ends():
