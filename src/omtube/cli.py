@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, coupling, geometry, mc, om, sde
 from .errors import ConstructionError, EstimationError, OmtubeError
 
-SCHEMA = 9
+SCHEMA = 10
 
 
 # ---------------------------------------------------------------------------

@@ -546,7 +546,9 @@ def _constant_curvature_data(K, d, t):
 # ---------------------------------------------------------------------------
 
 class DiagonalAmbient:
-    """Diagonal metric g_ii(y) = w_i(|y|) with closed-form Christoffels."""
+    """Diagonal metric g_ii(y) = w_i(|y|).  Its dense closed-form Christoffels
+    serve the curvature, the frames and the tests; the geodesic rates never
+    form them."""
 
     def __init__(self, d, warp_scales, profile):
         self.d = int(d)
@@ -574,12 +576,14 @@ class DiagonalAmbient:
         return g
 
     def grad_w(self, y):
-        """d_j w_k = w_k'(rho) u_j as [..., k, j], u = y / rho (y itself near
-        the origin)."""
+        """d_j w_k = w_k'(rho) u_j as [..., k, j], u = y / rho; within 1e-12
+        of the origin its limit beta_k p''(0) y_j."""
         y = np.asarray(y, dtype=float)
         rho = np.linalg.norm(y, axis=-1)
-        safe = np.where(rho > 1e-12, rho, 1.0)
-        return self._dw(rho)[..., :, None] * (y / safe[..., None])[..., None, :]
+        small = rho <= 1e-12
+        safe = np.where(small, 1.0, rho)
+        dw = np.where(small[..., None], self.beta * self.profile.deriv2(0.0), self._dw(rho))
+        return dw[..., :, None] * (y / safe[..., None])[..., None, :]
 
     def christoffel(self, y):
         """Gamma^k_ij as [..., k, i, j]."""
@@ -601,16 +605,10 @@ class DiagonalAmbient:
         with J[a, c] the a-th component of column c; acc is (d, ...) and the
         linearization (d, d, ...), laid out as J.
 
-        acc sums the non-zero Christoffels alone: Gamma^k_kj = Gamma^k_jk =
-        (0.5 d_j w_k) / w_k and, for i != k, Gamma^k_ii = -(0.5 d_k w_i) / w_k.
-        Summing (Gamma^k_ij v^i) v^j from +0 in (i, j) order is the einsum of
-        ``christoffel`` with v twice, bit for bit, as a skipped zero would add
-        +-0 to a sum that is never -0.
-
-        The linearization is closed form.  With grad p = q y, q = p'(rho)/rho
-        (p''(0) at the origin), acc = -B/(2w) where B = 2 beta v (grad p . v)
-        - grad p (beta . v^2).  Along (dy, dv): d grad p = (p'' - q)(u . dy) u
-        + q dy, dw = beta (grad p . dy), and d acc = (dw / 2w^2) B - dB / (2w).
+        Both are closed form.  With grad p = q y, q = p'(rho)/rho (p''(0) at
+        the origin), acc = -B/(2w) where B = 2 beta v (grad p . v) - grad p
+        (beta . v^2).  Along (dy, dv): d grad p = (p'' - q)(u . dy) u + q dy,
+        dw = beta (grad p . dy), and d acc = (dw / 2w^2) B - dB / (2w).
         """
         rho = np.sqrt(_leaddot(y, y))
         small = rho <= 1e-12
@@ -619,20 +617,6 @@ class DiagonalAmbient:
         beta = self.beta.reshape((-1,) + (1,) * rho.ndim)
         dp, d2p = self.profile.deriv(rho), self.profile.deriv2(rho)
         w = 1.0 + beta * (self.profile(rho) - self.p0)
-
-        half = 0.5 * ((beta * dp)[:, None] * u[None, :])  # 0.5 d_j w_k as [k, j, ...]
-        own = half / w[:, None]  # Gamma^k_kj as [k, j, ...]
-        ii = -np.swapaxes(half, 0, 1) / w[:, None]  # Gamma^k_ii as [k, i, ...]
-        idx = np.arange(self.d)
-        ii[idx, idx] = own[idx, idx]
-        acc = np.zeros(v.shape)
-        for i in range(self.d):
-            for j in range(self.d):
-                if i == j:
-                    acc += (ii[:, i] * v[i]) * v[i]
-                else:
-                    acc[i] += (own[i, j] * v[i]) * v[j]
-                    acc[j] += (own[j, i] * v[i]) * v[j]
 
         q = np.where(small, self.profile.deriv2(0.0), dp / safe)
         grad, bv, a = q * y, beta * v, (d2p - q) * u  # d grad p = a (u . dy) + q dy
@@ -649,7 +633,7 @@ class DiagonalAmbient:
         jvp += (beta_v2 * q) * J
         jvp += grad[:, None] * (2 * _leaddot(bv, Jd))
         jvp /= (2 * w)[:, None]
-        return -acc, jvp
+        return -B / (2 * w), jvp
 
     def dchristoffel(self, y):
         """d_l Gamma^k_ij as [..., l, k, i, j], closed form from w, w', w''."""
@@ -669,13 +653,12 @@ class DiagonalAmbient:
         hess = (d2wamp[..., :, None, None] * uu[..., None, :, :]
                 + (dwamp / safe[..., None])[..., :, None, None] * perp[..., None, :, :])
         hess = np.where(small, d2wamp[..., :, None, None] * eye, hess)
-        gradw = dwamp[..., :, None] * u[..., None, :]  # [..., k, j]
         term = (np.einsum("ki,...kjl->...lkij", eye, hess)
                 + np.einsum("kj,...kil->...lkij", eye, hess)
                 - np.einsum("ij,...ikl->...lkij", eye, hess))
         base = 0.5 * term / w[..., None, :, None, None]
         gamma = self.christoffel(y)
-        ratio = gradw / w[..., :, None]  # [..., k, l] = d_l w_k / w_k
+        ratio = self.grad_w(y) / w[..., :, None]  # [..., k, l] = d_l w_k / w_k
         corr = -np.einsum("...kij,...kl->...lkij", gamma, ratio)
         return base + corr
 
@@ -1126,12 +1109,12 @@ class ShotChart(MetricChart):
     """Numerical Fermi chart over an ambient metric.
 
     Geodesics are integrated with a classical RK4 whose rate comes from the
-    ambient's ``geodesic_rates``: the acceleration -Gamma^k_ij v^i v^j and,
-    for the variational (Jacobi) equation along each geodesic,
-    J'' = D acc(y, v) (J, J'), integrated from J = 0 and J' = the frame.
-    So J(1) is the Jacobian of the exponential map in frame coordinates and
-    the chart metric is its pull-back J^T G(y) J: one geodesic per point, no
-    difference stencil (Gray, *Tubes*, ch. 2).  Each point X takes its own
+    ambient's ``geodesic_rates``: acc = -Gamma^k_ij v^i v^j (-B/(2w) on a
+    warped model) and, for the Jacobi equation, J'' = D acc(y, v) (J, J'),
+    from J = 0 and J' = the frame.  So J(1) is the Jacobian of the
+    exponential map in frame coordinates and the chart metric is its
+    pull-back J^T G(y) J: one geodesic per point, no difference stencil
+    (Gray, *Tubes*, ch. 2).  Each point X takes its own
     steps: unit-time steps of min(1/12, _SHOT_MAX_STEP / |X|) laid from the
     start, at most 0.02 of arc length and at least 12 of them, and one
     shorter last step that ends at t = 1.  So a point's metric does not
