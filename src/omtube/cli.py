@@ -42,7 +42,7 @@ _DEFAULTS = {
     "profile": "bump",
     "curve": "constant",
     "field": "zero",
-    "T": 1.0,
+    "T": 0.04,
     "delta": [0.2],
     "dt": None,
     "paths": 10000,

@@ -250,6 +250,19 @@ def test_moment_smoke(tmp_path):
     assert len(doc["results"]["rows"]) == 2
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_defaults_run(tmp_path, command):
+    # every subcommand runs on its defaults alone: enough flat paths survive
+    # the default tube for each estimator, and for couple, which exits 0 on
+    # any survivor count
+    out = tmp_path / f"{command}.json"
+    assert run_cli([command, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "ok"
+    if command == "couple":
+        assert doc["results"]["cells"][0]["survivors"] > 0
+
+
 def test_moment_honours_dt(tmp_path):
     # each dt gives the rows of a direct call with that dt
     argv = ["--model", "sphere", "--dim", "2", "--T", "0.02", "--delta", "0.4,0.3",
