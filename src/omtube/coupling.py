@@ -122,9 +122,14 @@ def build_J(d):
 # ---------------------------------------------------------------------------
 
 def H_of(chart, t, R, U, U_tilde):
-    """H = |(sigma(t, R U) - I)(U - Ut)| / R^2 (batched)."""
+    """H = |(sigma(t, R U) - I)(U - Ut)| / R^2 (batched), the coupled loop's."""
     R = np.asarray(R, dtype=float)
-    dv = chart.at(t, R[..., None] * U).sigma_apply(U - U_tilde) - (U - U_tilde)
+    return _H(chart.at(t, R[..., None] * U), R, U - U_tilde)
+
+
+def _H(at, R, dU):
+    """H from the chart evaluated at R U and dU = U - Ut."""
+    dv = at.sigma_apply(dU) - dU
     return np.sqrt(_rowdot(dv, dv)) / R ** 2
 
 
@@ -248,8 +253,7 @@ def _coupled_advance(chart, jmaps, cfg, forms, gen):
         Ytn = Yt + dBt
 
         # inner-product SDE coefficients at the pre-step state
-        dv = at.sigma_apply(U - Ut) - (U - Ut)
-        H = np.sqrt(_rowdot(dv, dv)) / R ** 2
+        H = _H(at, R, U - Ut)
         G = at.G()
         # W1 extraction: <(sigma - I) Ut, dB> / (R^2 H); on lanes where the
         # diffusion term degenerates the fresh independent increment stands in
