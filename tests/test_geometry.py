@@ -218,13 +218,15 @@ def test_G_against_mpmath(K, d):
 
 @given(st.sampled_from([2, 3, 4]), st.data())
 def test_rowdot_sums_left_to_right(d, data):
-    # |x| is np.linalg.norm's bit for bit up to d = 4, and at d = 2, where a
-    # sum of two terms has one order, the dot is also np.einsum's
+    # |x| is np.linalg.norm's bit for bit up to d = 4, a single point's too,
+    # with axis=-1 (without it a vector's norm is the BLAS dot's, whose order
+    # and fused products are the library's), and at d = 2, where a sum of two
+    # terms has one order, the dot is also np.einsum's
     el = st.floats(-1e150, 1e150, allow_nan=False)
     x, y = data.draw(arrays(float, st.tuples(st.just(2), st.integers(1, 40), st.just(d)),
                             elements=el))
     assert np.array_equal(np.sqrt(geo._rowdot(x, x)), np.linalg.norm(x, axis=-1))
-    assert np.sqrt(geo._rowdot(x[0], x[0])) == np.linalg.norm(x[0])
+    assert np.sqrt(geo._rowdot(x[0], x[0])) == np.linalg.norm(x[0], axis=-1)
     if d == 2:
         assert np.array_equal(geo._rowdot(x, y), np.einsum("mi,mi->m", x, y))
 
