@@ -546,9 +546,8 @@ def _constant_curvature_data(K, d, t):
 # ---------------------------------------------------------------------------
 
 class DiagonalAmbient:
-    """Diagonal metric g_ii(y) = w_i(|y|).  Its dense closed-form Christoffels
-    serve the curvature, the frames and the tests; the geodesic rates never
-    form them."""
+    """Diagonal metric g_ii(y) = w_i(|y|).  Its dense Christoffels serve the
+    curvature, the frames and the tests; ``geodesic_rates`` never forms them."""
 
     def __init__(self, d, warp_scales, profile):
         self.d = int(d)
