@@ -454,6 +454,31 @@ def _rates(ambient, y, v, J, Jd):
     return acc.T, np.moveaxis(jvp, -1, 0)
 
 
+def _ambient_case(d):
+    """(d, y, v): one to four rows of points y and velocities v in R^d."""
+    row = st.lists(st.floats(-1.5, 1.5), min_size=2 * d, max_size=2 * d)
+    return st.lists(row, min_size=1, max_size=4).map(np.array).map(
+        lambda r: (d, r[:, :d], r[:, d:]))
+
+
+@given(profile=st.sampled_from(sorted(geo.PROFILES)),
+       case=st.sampled_from([2, 3, 4]).flatmap(_ambient_case))
+@example(profile="bump_strong", case=(3, np.zeros((1, 3)), np.array([[0.3, -1.0, 0.5]])))
+@example(profile="well",  # inside the origin's 1e-12, where grad w takes its limit
+         case=(2, np.array([[1e-13, -5e-14]]), np.array([[0.3, -1.0]])))
+def test_geodesic_acc_equals_christoffel_einsum(profile, case):
+    # the shooting RK4 takes acc = -B/(2w) in closed form; it is the dense
+    # einsum of the Christoffel tensor to roundoff (below the smallest
+    # normal float, to an absolute tiny)
+    d, y, v = case
+    amb = geo.DiagonalAmbient(d, np.arange(1, d + 1) / d, geo.PROFILES[profile])
+    gam = amb.christoffel(y)
+    want = -np.einsum("...kij,...i,...j->...k", gam, v, v)
+    size = np.einsum("...kij,...i,...j->...k", *map(np.abs, (gam, v, v)))
+    got = _rates(amb, y, v, *[np.zeros(y.shape + (d,))] * 2)[0]
+    assert np.all(np.abs(got - want) <= 1e-14 * size + np.finfo(float).tiny)
+
+
 def _jvp_case(d):
     """(d, y, v, J, Jd): one to four points y, velocities v and d columns of
     variations J (of y) and Jd (of v) in R^d."""
@@ -474,17 +499,13 @@ def _jvp_case(d):
          case=(2, np.array([[1e-13, -5e-14]]), np.array([[0.3, -1.0]]),
                np.array([[[1.0, 0.2], [-0.7, 0.3]]]), np.array([[[0.8, 0.0], [1.1, -0.6]]])))
 def test_geodesic_jvp(profile, case):
-    # the closed forms in w, w', w'' are the einsums of the Christoffel
-    # tensor and its derivative, the acceleration to roundoff (below the
-    # smallest normal float, to an absolute tiny); both ambients'
-    # linearizations are central differences of their own accelerations
+    # the closed form in w, w', w'' is the einsum of the Christoffel tensor
+    # and its derivative; both ambients' linearizations are central
+    # differences of their own accelerations
     d, y, v, J, Jd = case
     amb = geo.DiagonalAmbient(d, np.arange(1, d + 1) / d, geo.PROFILES[profile])
     dgam, gam = amb.dchristoffel(y), amb.christoffel(y)
-    acc, got = _rates(amb, y, v, J, Jd)
-    want = -np.einsum("...kij,...i,...j->...k", gam, v, v)
-    size = np.einsum("...kij,...i,...j->...k", *map(np.abs, (gam, v, v)))
-    assert np.all(np.abs(acc - want) <= 1e-14 * size + np.finfo(float).tiny)
+    got = _rates(amb, y, v, J, Jd)[1]
     want = (-np.einsum("...lkij,...lc,...i,...j->...kc", dgam, J, v, v)
             - 2 * np.einsum("...kij,...i,...jc->...kc", gam, v, Jd))
     size = (np.einsum("...lkij,...lc,...i,...j->...kc", *map(np.abs, (dgam, J, v, v)))
