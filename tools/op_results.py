@@ -27,10 +27,11 @@ finite-difference kernel and divergence of a cubic field on S2, the
 derivative of a custom profile, and the transported frame velocity of a
 circle on H3), and the radial chart evaluators of H3 and S3 on both sides
 of the point where their radial scalars leave the series (no workload runs
-a chart of negative curvature).  The output is one sorted JSON line
-holding ``cli.SCHEMA`` and the results, so two trees can be compared
-textually: outputs that are meant to stay fixed are equal, or the schema
-differs.
+a chart of negative curvature), and the first draws of the chunk and
+single-path streams, which every Monte Carlo entry consumes.  The output
+is one sorted JSON line holding ``cli.SCHEMA`` and the results, so two
+trees can be compared textually: outputs that are meant to stay fixed are
+equal, or the schema differs.
 """
 
 import contextlib
@@ -69,6 +70,7 @@ def main(src):
     results["moment-deltas"] = moment_deltas()
     results["difference-routes"] = difference_routes()
     results["radial-scalars"] = radial_scalars()
+    results["streams"] = streams()
     print(json.dumps({"schema": cli.SCHEMA, "results": results}, sort_keys=True))
 
 
@@ -321,6 +323,23 @@ def radial_scalars():
         out[name] = {"sigma_v": at.sigma_apply(v).tolist(), "coriolis": at.coriolis().tolist(),
                      "bessel_drift": at.bessel_drift().tolist(), "G": at.G().tolist(),
                      "alpha_kernel": om.alpha_kernel(chart, field, 0.0, pts).tolist()}
+    return out
+
+
+def streams():
+    """The first four ``standard_normal`` and ``random`` values of
+    ``_rng.chunk_generator`` at (seed, chunk) = (0, 0), (1, 1) and
+    (2**64 - 1, 3), and of ``_rng.path_generator`` at (1, 0) and (1, 5)."""
+    from omtube import _rng
+
+    keys = {"chunk": ((0, 0), (1, 1), (2 ** 64 - 1, 3)), "path": ((1, 0), (1, 5))}
+    makers = {"chunk": _rng.chunk_generator, "path": _rng.path_generator}
+    out = {}
+    for kind, pairs in keys.items():
+        for seed, index in pairs:
+            gen = makers[kind](seed, index)
+            out[f"{kind}:{seed}:{index}"] = {"normal": gen.standard_normal(4).tolist(),
+                                             "random": gen.random(4).tolist()}
     return out
 
 
