@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _rng
 from .errors import ChartDomainError, ConstructionError, InsufficientSamplesError
-from .geometry import _rowdot
+from .geometry import _rowdot, _rowscale
 from .sde import _chunks, _step_lanes
 
 __all__ = [
@@ -245,7 +245,7 @@ def _coupled_advance(chart, jmaps, cfg, forms, gen):
         w1f = sq * gen.standard_normal(Y.shape[0])
         at = chart.at(t, Y)
         R, U = at.rho, at.u
-        Ut = Yt / s["Rt"][:, None]
+        Ut = _rowscale(Yt, s["Rt"], np.divide)
         dB = jmaps.apply(U, dW)
         dBt = jmaps.apply(Ut, dW)
         w0_dev = np.maximum(np.abs(_rowdot(U, dB) - dW[:, 0]), np.abs(_rowdot(Ut, dBt) - dW[:, 0]))

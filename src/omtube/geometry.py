@@ -116,6 +116,15 @@ def _rowdot(a, b):
     return out
 
 
+def _rowscale(v, a, op=np.multiply):
+    """op(v, a[..., None]) one column at a time: broadcasting a over the
+    short last axis runs numpy's inner loop once per row, about 3x slower."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), v.shape[:-1]) + v.shape[-1:])
+    for i in range(out.shape[-1]):
+        op(v[..., i], a, out=out[..., i])
+    return out
+
+
 def _leaddot(a, b):
     """sum_i a[i] b[i] over the leading (component) axis, left to right:
     ``_rowdot`` for arrays whose points run along the last axis."""
@@ -936,7 +945,7 @@ class _Point:
     @cached_property
     def u(self):
         # x / inf = 0 on the rows at the origin
-        return self.x / np.where(self.rho == 0, np.inf, self.rho)[..., None]
+        return _rowscale(self.x, np.where(self.rho == 0, np.inf, self.rho), np.divide)
 
 
 class _MatrixPoint(_Point):
@@ -955,7 +964,7 @@ class _MatrixPoint(_Point):
     def bessel_drift(self):
         safe = np.where(self.rho > 1e-12, self.rho, 1.0)
         amp = np.where(self.rho > 1e-12, (self.d - self._trace_g_inv) / (2 * safe ** 2), 0.0)
-        return amp[..., None] * self.x
+        return _rowscale(self.x, amp)
 
     def G(self):
         dev = self.sigma - np.eye(self.d)
@@ -1054,13 +1063,15 @@ class _RadialPoint(_Point):
 
     def sigma_apply(self, v):
         v = np.asarray(v, dtype=float)
-        return self.ti[..., None] * v + ((1.0 - self.ti) * _rowdot(self.u, v))[..., None] * self.u
+        out = _rowscale(v, self.ti)
+        out += _rowscale(self.u, (1.0 - self.ti) * _rowdot(self.u, v))
+        return out
 
     def coriolis(self):
-        return self._scalars.coriolis_over_rho(self.rho2)[..., None] * self.x
+        return _rowscale(self.x, self._scalars.coriolis_over_rho(self.rho2))
 
     def bessel_drift(self):
-        return self._scalars.bessel_over_rho(self.rho2)[..., None] * self.x
+        return _rowscale(self.x, self._scalars.bessel_over_rho(self.rho2))
 
     def G(self):
         return (self._scalars.d - 1) * (self._scalars.K * self._scalars.q(self.rho2)) ** 2

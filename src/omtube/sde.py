@@ -177,7 +177,11 @@ def _make_stepper(kind, chart, drift_field, cfg):
     if kind == "x":
         def step(t, y, dB):
             at = chart.at(t, y)
-            drift = at.coriolis() - chart.velocity_frame(t)
+            # this step's own a, less gamma_dot one column at a time: the
+            # broadcast (m, d) - (d,) runs numpy's inner loop once per row
+            drift = at.coriolis()
+            for i, v in enumerate(chart.velocity_frame(t)):
+                drift[..., i] -= v
             if drift_field is not None:
                 drift = drift + drift_field(t, y)
             out = y + at.sigma_apply(dB) + drift * cfg.dt

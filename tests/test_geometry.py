@@ -231,6 +231,20 @@ def test_rowdot_sums_left_to_right(d, data):
         assert np.array_equal(geo._rowdot(x, y), np.einsum("mi,mi->m", x, y))
 
 
+@given(st.sampled_from([np.multiply, np.divide]), st.integers(1, 4),
+       st.sampled_from([None, 0, 1, 9]), st.data())
+def test_rowscale_is_broadcast(op, d, m, data):
+    # a scalar a, one point (m None) and batches of m rows, with rows where
+    # a is 0 or inf, as u = x / inf on the rows at the origin
+    a_el = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, np.inf]))
+    shape = (d,) if m is None else (m, d)
+    v = data.draw(arrays(float, shape, elements=st.floats(-1e3, 1e3)))
+    a = data.draw(st.one_of(a_el, arrays(float, shape[:-1], elements=a_el)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got, want = geo._rowscale(v, a, op), op(v, np.asarray(a)[..., None])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @given(arrays(float, st.integers(0, 40), elements=st.floats(-1e3, 1e3)),
        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12))
 @example(np.linspace(-0.25, 0.25, 9), list(geo._A_SERIES))
