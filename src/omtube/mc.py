@@ -177,37 +177,33 @@ def _run_pool(job, n_paths, threads):
 # tube-probability estimation
 # ---------------------------------------------------------------------------
 
-def estimate_tube_prob(process, *, chart=None, field=None, d=None, delta, dt,
-                       T=None, n_paths, seed=0, bridge_correction=True,
-                       scheme="euler_maruyama", threads=None,
-                       keep_exit_times=False):
-    """Rejection Monte Carlo estimate of a tube-survival probability.
-
-    process: "x" (lifted diffusion), "y" (radial reference), or "bm".
-    """
+def _tube_job(process, chart, field, d, n_paths, keep_exit_times=False, **cfg):
+    """``job(chunk_range)`` of one tube leg for ``_run_pool``; ``cfg`` holds
+    the leg's ``sde.IntegratorConfig`` fields."""
     if n_paths < 1000:
         raise EstimationError("tube estimation needs at least 1e3 paths")
-    process = process.lower()
     if process in ("x", "y"):
         if chart is None:
             raise ConstructionError(f"process {process!r} needs a chart")
         d = chart.d
     elif d is None:
         raise ConstructionError("plain BM needs the dimension d")
-    cfg = sde.IntegratorConfig(dt=dt, T=T, delta=delta, seed=seed, scheme=scheme,
-                               bridge_correction=bridge_correction)
+    cfg = sde.IntegratorConfig(**cfg)
     drift_field = field if process == "x" else None
 
     def job(chunk_range):
         return sde.run_tube_ensemble(process, d, cfg, n_paths, chart=chart,
                                      drift_field=drift_field, chunk_range=chunk_range,
                                      want_exit_times=keep_exit_times)
+    return job
 
-    parts = _run_pool(job, n_paths, threads)
+
+def _tube_estimate(parts, process, delta, dt):
+    """The estimate of one tube leg from its slices' ensembles, in slice order."""
     n_tot = sum(p.n_paths for p in parts)
     n_surv = sum(p.n_survive for p in parts)
     exit_times = (np.concatenate([p.exit_times for p in parts])
-                  if keep_exit_times else None)
+                  if parts[0].exit_times is not None else None)
 
     p_hat = n_surv / n_tot
     se = math.sqrt(p_hat * (1 - p_hat) / n_tot)
@@ -219,23 +215,38 @@ def estimate_tube_prob(process, *, chart=None, field=None, d=None, delta, dt,
                         warning=warning, exit_times=exit_times)
 
 
+def estimate_tube_prob(process, *, chart=None, field=None, d=None, delta, dt,
+                       T=None, n_paths, seed=0, bridge_correction=True,
+                       scheme="euler_maruyama", threads=None,
+                       keep_exit_times=False):
+    """Rejection Monte Carlo estimate of a tube-survival probability.
+
+    process: "x" (lifted diffusion), "y" (radial reference), or "bm".
+    """
+    process = process.lower()
+    job = _tube_job(process, chart, field, d, n_paths, keep_exit_times, dt=dt, T=T,
+                    delta=delta, seed=seed, scheme=scheme,
+                    bridge_correction=bridge_correction)
+    return _tube_estimate(_run_pool(job, n_paths, threads), process, delta, dt)
+
+
 def estimate_ratio(chart, field, *, delta, dt, n_paths, seed=0,
                    bridge_correction=True, scheme="euler_maruyama", threads=None):
     """Tube-probability ratio of the lifted diffusion against flat BM.
 
     Both legs use the same dt, the same horizon, and the same monitoring
-    scheme; they draw from independent streams derived from ``seed``.
+    scheme; they draw from independent streams derived from ``seed``.  One
+    pool runs both: each slice runs its chunks of the X leg, then of the BM leg.
     """
     field = field or om.zero_field(chart.d)
     T = chart.curve.T
-    num = estimate_tube_prob("x", chart=chart, field=field, delta=delta, dt=dt,
-                             T=T, n_paths=n_paths, seed=_rng.leg_seed(seed, 0),
-                             bridge_correction=bridge_correction, scheme=scheme,
-                             threads=threads)
-    den = estimate_tube_prob("bm", d=chart.d, delta=delta, dt=dt, T=T,
-                             n_paths=n_paths, seed=_rng.leg_seed(seed, 1),
-                             bridge_correction=bridge_correction, scheme=scheme,
-                             threads=threads)
+    cfg = dict(dt=dt, T=T, delta=delta, scheme=scheme, bridge_correction=bridge_correction)
+    legs = (_tube_job("x", chart, field, None, n_paths, seed=_rng.leg_seed(seed, 0), **cfg),
+            _tube_job("bm", None, None, chart.d, n_paths, seed=_rng.leg_seed(seed, 1), **cfg))
+    parts = _run_pool(lambda chunk_range: [job(chunk_range) for job in legs],
+                      n_paths, threads)
+    num, den = (_tube_estimate([p[leg] for p in parts], process, delta, dt)
+                for leg, process in enumerate(("x", "bm")))
     if num.n_survive == 0 or den.n_survive == 0:
         raise EstimationError(
             f"zero survivors (numerator {num.n_survive}, denominator "

@@ -90,11 +90,18 @@ def test_ratio_deterministic(euclid2_chart):
 
 
 def test_ratio_threads_invariance(euclid2_chart):
-    kw = dict(delta=0.5, dt=1e-3, n_paths=80000, seed=11)
-    r1 = mc.estimate_ratio(euclid2_chart, om.zero_field(2), threads=1, **kw)
-    r2 = mc.estimate_ratio(euclid2_chart, om.zero_field(2), threads=3, **kw)
-    assert r1.ratio == r2.ratio
-    assert r1.numerator.n_survive == r2.numerator.n_survive
+    # one pool runs both legs; its 3 chunks go to 1, 2 or 3 slices
+    kw = dict(delta=0.5, dt=1e-3, n_paths=80000)
+    r1, r2, r3 = (mc.estimate_ratio(euclid2_chart, om.zero_field(2), seed=11, threads=n,
+                                    **kw) for n in (1, 2, 3))
+    assert r1.to_dict() == r2.to_dict() == r3.to_dict()
+    # and its legs are the separate estimates on the leg seeds
+    legs = [mc.estimate_tube_prob(process, chart=euclid2_chart, field=om.zero_field(2), d=2,
+                                  T=euclid2_chart.curve.T, seed=_rng.leg_seed(11, leg),
+                                  threads=2, **kw)
+            for leg, process in enumerate(("x", "bm"))]
+    assert [r2.numerator, r2.denominator] == legs
+    assert legs[0].n_survive != legs[1].n_survive
 
 
 def test_ratio_prediction_breakdown():
