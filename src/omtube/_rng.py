@@ -1,14 +1,15 @@
-"""Counter-based random number streams for reproducible parallel Monte Carlo.
+"""Keyed random number streams for reproducible parallel Monte Carlo.
 
 Every ensemble is split into fixed-width chunks of ``CHUNK`` paths.  Chunk
-``j`` of a run draws from a Philox generator keyed by ``(seed, j)``, and
-the order in which a chunk consumes values is a deterministic function of
-its own evolution only.  Results are therefore bit-identical for identical
-``(seed, config)`` under any worker count or scheduling: workers always
-own whole chunks and reductions are combined in chunk order.
+``j`` of a run draws from an SFC64 generator seeded by the ``SeedSequence``
+of ``seed`` with spawn key ``(j,)``, and the order in which a chunk
+consumes values is a deterministic function of its own evolution only.
+Results are therefore bit-identical for identical ``(seed, config)`` under
+any worker count or scheduling: workers always own whole chunks and
+reductions are combined in chunk order.
 
-Single-path simulations (the ones that record a full trajectory) use a
-disjoint key space ``(seed, 2**62 + path_index)``.
+Single-path simulations (the ones that record a full trajectory) use the
+disjoint spawn keys ``(2**62 + path_index,)``.
 """
 
 import numpy as np
@@ -16,18 +17,18 @@ import numpy as np
 CHUNK = 32768
 
 
+def _generator(seed, key):
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(key,))))
+
+
 def chunk_generator(seed, chunk_index):
     """Generator for one ensemble chunk, keyed by (seed, chunk_index)."""
-    key = np.array([np.uint64(seed), np.uint64(chunk_index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return _generator(int(seed), int(chunk_index))
 
 
 def path_generator(seed, path_index):
     """Generator for a single recorded path, disjoint from chunk streams."""
-    key = np.array(
-        [np.uint64(seed), np.uint64((1 << 62) + int(path_index))], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    return _generator(int(seed), (1 << 62) + int(path_index))
 
 
 def leg_seed(seed, leg):

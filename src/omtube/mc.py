@@ -9,8 +9,9 @@ sharing the time step and the exit-monitoring scheme so the
 discrete-monitoring bias cancels in the ratio.  All estimators are
 deterministic functions of (seed, configuration), and ensembles can fan
 out over a process pool (``OMTUBE_THREADS`` workers, an integer >= 1)
-without changing any output bit: chunk streams are keyed by path block,
-and reductions are combined in block order.  The pool forks its workers,
+without changing any output bit: each chunk of paths draws from its own
+SFC64 stream keyed by (seed, chunk index), and reductions are combined in
+chunk order.  The pool forks its workers,
 which inherit the caller's chart, field and forms, so any chart or field
 pools; it needs a POSIX ``fork``, and elsewhere one worker runs every slice.
 """

@@ -5,11 +5,11 @@ with tube-exit detection.
 One stepping loop, ``_step_lanes``, advances the live lanes of a chunk;
 each caller supplies only the per-step ``advance`` (noise draw, step, exit
 mask).  ``run_tube_ensemble`` steps fixed 32768-lane chunks
-(``_rng.CHUNK``) with per-chunk Philox streams and returns survival counts
+(``_rng.CHUNK``) with per-chunk keyed streams and returns survival counts
 plus whatever terminal statistics were requested; identical
 ``(seed, cfg)`` give bit-identical results for any worker count.
 ``simulate_X`` / ``simulate_Y`` / ``simulate_bm`` run a single path as one
-lane, on a Philox stream keyed by ``(seed, path_index)``, and record it as
+lane, on a stream keyed by ``(seed, path_index)``, and record it as
 a :class:`PathSample`.  :mod:`omtube.coupling` steps the coupled pair with
 the same loop.  Tube lanes exit by the one rule ``tube_exit_check``.
 
@@ -311,7 +311,7 @@ def run_tube_ensemble(kind, d, cfg, n_paths, chart=None, drift_field=None,
     """Simulate ``n_paths`` paths and reduce to counts and optional arrays.
 
     kind: "x", "y", or "bm".  Each chunk runs the stepping loop from the
-    origin on its own Philox stream, drawing noise only for the lanes still
+    origin on its own keyed stream, drawing noise only for the lanes still
     alive (see :mod:`omtube._rng` for the determinism contract).
     ``terminal`` is NaN for exited paths, ``exit_times`` NaN for survivors.
     When ``chunk_range`` is given, only those chunk indices are simulated

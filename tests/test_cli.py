@@ -99,7 +99,7 @@ def test_invalid_config_exit_code(capsys, tmp_path):
         assert run_cli([*argv, "--paths", "1000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name}: must be finite"), err
-    # seeds outside the Philox key range, and an empty delta list
+    # seeds outside the stream key range [0, 2**64), and an empty delta list
     for argv, msg in [(["smallball", "--seed=-1"], "seed: must lie in"),
                       (["smallball", "--seed", str(2 ** 64)], "seed: must lie in"),
                       (["ratio", "--delta", ","], "delta: needs at least one value")]:

@@ -76,6 +76,20 @@ def test_ratio_legs_use_independent_streams(euclid2_chart):
     assert abs(r.ratio - 1.0) < 4 * r.ratio_se
 
 
+def test_stream_keys_are_distinct():
+    # distinct (seed, chunk) keys start distinct streams, also where the
+    # seed's and the chunk's words could run together, and no single-path
+    # key starts a chunk's stream; a key always starts the same stream
+    seeds = [0, 1, 2, 2 ** 32, 2 ** 32 + 1, 2 ** 63, 2 ** 64 - 1,
+             _rng.leg_seed(5, 0), _rng.leg_seed(5, 1)]
+    keys = ([("chunk", s, j) for s in seeds for j in (0, 1, 2, 2 ** 32 - 1)]
+            + [("path", s, i) for s in seeds for i in (0, 1, 5)])
+    make = {"chunk": _rng.chunk_generator, "path": _rng.path_generator}
+    first = {key: tuple(make[key[0]](*key[1:]).random(2)) for key in keys}
+    assert len(set(first.values())) == len(keys)
+    assert all(tuple(make[k[0]](*k[1:]).random(2)) == v for k, v in first.items())
+
+
 def test_ratio_zero_survivors_error(euclid2_chart):
     with pytest.raises(EstimationError, match="rejection"):
         mc.estimate_ratio(euclid2_chart, om.zero_field(2), delta=0.05,
