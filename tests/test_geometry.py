@@ -512,10 +512,14 @@ def _jvp_case(d):
 @example(profile="well",  # inside the origin's 1e-12, where grad w takes its limit
          case=(2, np.array([[1e-13, -5e-14]]), np.array([[0.3, -1.0]]),
                np.array([[[1.0, 0.2], [-0.7, 0.3]]]), np.array([[[0.8, 0.0], [1.1, -0.6]]])))
+@example(profile="bump_strong",  # products that underflow to subnormals
+         case=(2, np.array([[0.0, 5.9e-258]]), np.array([[0.0, 4.9e-59]]),
+               np.zeros((1, 2, 2)), np.array([[[0.0, 0.0], [0.0, 0.5]]])))
 def test_geodesic_jvp(profile, case):
     # the closed form in w, w', w'' is the einsum of the Christoffel tensor
     # and its derivative; both ambients' linearizations are central
-    # differences of their own accelerations
+    # differences of their own accelerations; the einsum's bound has the
+    # acceleration's floor of the smallest normal float
     d, y, v, J, Jd = case
     amb = geo.DiagonalAmbient(d, np.arange(1, d + 1) / d, geo.PROFILES[profile])
     dgam, gam = amb.dchristoffel(y), amb.christoffel(y)
@@ -524,7 +528,7 @@ def test_geodesic_jvp(profile, case):
             - 2 * np.einsum("...kij,...i,...jc->...kc", gam, v, Jd))
     size = (np.einsum("...lkij,...lc,...i,...j->...kc", *map(np.abs, (dgam, J, v, v)))
             + 2 * np.einsum("...kij,...i,...jc->...kc", *map(np.abs, (gam, v, Jd))))
-    assert np.all(np.abs(got - want) <= 1e-12 * size)
+    assert np.all(np.abs(got - want) <= 1e-12 * size + np.finfo(float).tiny)
     for ambient, eps, tol in ((amb, 1e-5, 1e-8),
                               (geo.CallableAmbient(d, amb.metric), 1e-4, 1e-5)):
         fd = np.stack([(_rates(ambient, y + eps * J[..., c], v + eps * Jd[..., c], J, Jd)[0]
