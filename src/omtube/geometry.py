@@ -117,9 +117,10 @@ def _rowdot(a, b):
 
 
 def _rowscale(v, a, op=np.multiply):
-    """op(v, a[..., None]) one column at a time: broadcasting a over the
-    short last axis runs numpy's inner loop once per row, about 3x slower."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), v.shape[:-1]) + v.shape[-1:])
+    """op(v, a[..., None]) one column at a time, for a scalar a or one a per
+    row of v: broadcasting a over the short last axis runs numpy's inner
+    loop once per row, about 3x slower."""
+    out = np.empty(v.shape)
     for i in range(out.shape[-1]):
         op(v[..., i], a, out=out[..., i])
     return out
