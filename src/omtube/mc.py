@@ -11,9 +11,9 @@ deterministic functions of (seed, configuration), and ensembles can fan
 out over a process pool (``OMTUBE_THREADS`` workers, an integer >= 1)
 without changing any output bit: each chunk of paths draws from its own
 SFC64 stream keyed by (seed, chunk index), and reductions are combined in
-chunk order.  The pool forks its workers,
-which inherit the caller's chart, field and forms, so any chart or field
-pools; it needs a POSIX ``fork``, and elsewhere one worker runs every slice.
+chunk order.  The pool forks its workers, which inherit the caller's
+chart, field and forms, so any chart or field pools; it needs a POSIX
+``fork``, and elsewhere one worker runs every slice.
 """
 
 import math
