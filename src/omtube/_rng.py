@@ -23,12 +23,12 @@ def _generator(seed, key):
 
 def chunk_generator(seed, chunk_index):
     """Generator for one ensemble chunk, keyed by (seed, chunk_index)."""
-    return _generator(int(seed), int(chunk_index))
+    return _generator(seed, chunk_index)
 
 
 def path_generator(seed, path_index):
     """Generator for a single recorded path, disjoint from chunk streams."""
-    return _generator(int(seed), (1 << 62) + int(path_index))
+    return _generator(seed, (1 << 62) + path_index)
 
 
 def leg_seed(seed, leg):
