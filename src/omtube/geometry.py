@@ -886,12 +886,13 @@ class MetricChart:
         """sqrt(det g(t, x))."""
         return _sqrt_det(self.metric(t, x))
 
-    def at(self, t, x):
+    def at(self, t, x, rho=None):
         """Evaluation at (t, x) for one step: ``sigma``, ``sigma_apply(v)``,
         ``coriolis()``, ``bessel_drift()`` and ``G()``, sharing what they
-        have in common.  This one is the metric-only route: one metric
+        have in common.  ``rho``, when given, is |x| as ``sqrt(_rowdot(x, x))``
+        gives it.  This one is the metric-only route: one metric
         evaluation per point, at x and at each point of the Coriolis stencil."""
-        return _NumericPoint(self, t, x)
+        return _NumericPoint(self, t, x, rho)
 
     def sigma(self, t, x):
         """Symmetric positive square root of the inverse metric."""
@@ -937,11 +938,13 @@ def _spd_sqrt(mats, t, x):
 
 class _Point:
     """A chart evaluated at a batch of points x of shape (..., d), for one
-    step: rho = |x| at once, u = x/rho (0 at the origin) when first used."""
+    step: rho = |x| at once, unless the caller knows it (the same
+    sqrt(_rowdot(x, x)), taken at its exit check), and u = x/rho (0 at the
+    origin) when first used."""
 
-    def __init__(self, x):
+    def __init__(self, x, rho=None):
         self.x = np.asarray(x, dtype=float)
-        self.rho = np.sqrt(_rowdot(self.x, self.x))
+        self.rho = np.sqrt(_rowdot(self.x, self.x)) if rho is None else rho
 
     @cached_property
     def u(self):
@@ -954,8 +957,8 @@ class _MatrixPoint(_Point):
     c = (d - tr g^-1) x / (2 rho^2) and G = tr((sigma - I)^2) / rho^4.
     Subclasses supply ``sigma``, ``_trace_g_inv`` and ``coriolis``."""
 
-    def __init__(self, chart, x):
-        super().__init__(x)
+    def __init__(self, chart, x, rho=None):
+        super().__init__(x, rho)
         self._chart = chart
         self.d = chart.d
 
@@ -979,8 +982,8 @@ class _NumericPoint(_MatrixPoint):
     differences, step 1e-3 of the tube radius) gives sqrt(det g) g^-1 from
     its own single metric, and a^i = (1/2) sum_j d_j(sqrt(g) g^ij) / sqrt(g)."""
 
-    def __init__(self, chart, t, x):
-        super().__init__(chart, x)
+    def __init__(self, chart, t, x, rho=None):
+        super().__init__(chart, x, rho)
         self._t = t
 
     @cached_property
@@ -1037,8 +1040,8 @@ class _RadialPoint(_Point):
     a = (A/rho) x, c = (C/rho) x and
     G = tr((sigma - I)^2) / rho^4 = (d - 1)(1/tl - 1)^2 / rho^4 = (d - 1)(K q)^2."""
 
-    def __init__(self, scalars, x):
-        super().__init__(x)
+    def __init__(self, scalars, x, rho=None):
+        super().__init__(x, rho)
         self._scalars = scalars
 
     @cached_property
@@ -1092,8 +1095,8 @@ class RadialChart(MetricChart):
         super().__init__(model, curve, tube_radius, vframe)
         self._scalars = _RadialScalars(model.curv, model.dim)
 
-    def at(self, t, x):
-        return _RadialPoint(self._scalars, x)
+    def at(self, t, x, rho=None):
+        return _RadialPoint(self._scalars, x, rho)
 
     def metric(self, t, x):
         p = self.at(t, x)
@@ -1312,8 +1315,8 @@ class PrecomputedChart(MetricChart):
         self._step_table = _GridTable(
             np.concatenate([sigma[upper], 0.5 * div / sq[..., None]], axis=-1), bound)
 
-    def at(self, t, x):
-        return _GridPoint(self, x)
+    def at(self, t, x, rho=None):
+        return _GridPoint(self, x, rho)
 
     def metric(self, t, x):
         return _unpack_sym(self._g(x), self.d)

@@ -141,11 +141,12 @@ def tube_exit_check(r0, r1, delta, dt, bridge_correction=True):
 # ---------------------------------------------------------------------------
 
 def _make_stepper(kind, chart, drift_field, cfg):
-    """Return step(t, y, dB) -> y_next for the chosen process kind."""
+    """Return step(t, y, dB, r=None) -> y_next for the chosen process kind;
+    r, when given, is |y| as the exit check took it."""
     milstein = cfg.scheme == "milstein_diagonal"
 
     if kind == "bm":
-        def step(t, y, dB):
+        def step(t, y, dB, r=None):
             return y + dB
         return step
 
@@ -166,8 +167,8 @@ def _make_stepper(kind, chart, drift_field, cfg):
         return corr
 
     if kind == "y":
-        def step(t, y, dB):
-            at = chart.at(t, y)
+        def step(t, y, dB, r=None):
+            at = chart.at(t, y, rho=r)
             out = y + at.sigma_apply(dB) + at.bessel_drift() * cfg.dt
             if milstein:
                 out = out + milstein_term(t, y, dB)
@@ -175,8 +176,8 @@ def _make_stepper(kind, chart, drift_field, cfg):
         return step
 
     if kind == "x":
-        def step(t, y, dB):
-            at = chart.at(t, y)
+        def step(t, y, dB, r=None):
+            at = chart.at(t, y, rho=r)
             # this step's own a, less gamma_dot one column at a time: the
             # broadcast (m, d) - (d,) runs numpy's inner loop once per row
             drift = at.coriolis()
@@ -194,9 +195,10 @@ def _make_stepper(kind, chart, drift_field, cfg):
 
 
 def _tube_advance(step, cfg, chart, gen):
-    """``advance`` of tube lanes (state ``y`` and ``r`` = |y|) moved by ``step``
-    on noise from ``gen``.  A tube must lie inside the chart; without a tube,
-    a lane beyond the chart raises."""
+    """``advance`` of tube lanes (state ``y`` and ``r`` = |y|, taken at the
+    exit check and handed to the next step) moved by ``step`` on noise from
+    ``gen``.  A tube must lie inside the chart; without a tube, a lane beyond
+    the chart raises."""
     delta, dt = cfg.delta, cfg.dt
     bridge = cfg.bridge_correction and delta is not None
     bound = chart.tube_radius if chart is not None else np.inf
@@ -205,7 +207,7 @@ def _tube_advance(step, cfg, chart, gen):
     sq = math.sqrt(dt)
 
     def advance(k, s):
-        y = step(k * dt, s["y"], sq * gen.standard_normal(s["y"].shape))
+        y = step(k * dt, s["y"], sq * gen.standard_normal(s["y"].shape), s["r"])
         # sqrt of the plain squared sum, as PathSample.radial, so that a
         # recorded path's radii are the ones its exit rule saw
         r = np.sqrt(_rowdot(y, y))
@@ -262,8 +264,8 @@ def _simulate_single(kind, d, cfg, chart=None, drift_field=None):
     step = _make_stepper(kind, chart, drift_field, cfg)
     incs, states = [], [np.zeros(d)]
 
-    def recorded_step(t, y, dB):
-        y_new = step(t, y, dB)
+    def recorded_step(t, y, dB, r):
+        y_new = step(t, y, dB, r)
         incs.append(dB[0])
         states.append(y_new[0])
         return y_new
