@@ -285,13 +285,18 @@ def _cmd_ratio(cfg):
     return result, csv_rows, 0
 
 
+# the coupled records that ``couple`` reports
+_COUPLE_RECORDS = ("max_radial_gap", "ortho_cov", "sup_udiff", "h2_le_g_violations",
+                   "w0_identity_dev")
+
+
 def _cmd_couple(cfg):
     chart, field = _setup(cfg)
     rows = [list(coupling.DIAGNOSTICS_HEADER)]
     out = []
     for delta in cfg["delta"]:
         ens = mc.run_coupled(chart, field, delta=delta, dt=cfg["dt"], T=cfg["T"],
-                             n_paths=cfg["paths"], seed=cfg["seed"], with_forms=False)
+                             n_paths=cfg["paths"], seed=cfg["seed"], records=_COUPLE_RECORDS)
         oc = ens.ortho_cov
         ose = float(np.std(oc, ddof=1) / math.sqrt(len(oc))) if len(oc) > 1 else 0.0
         ostat = float(np.mean(oc) / ose) if ose > 0 else 0.0

@@ -16,16 +16,19 @@ stepping loop of :mod:`omtube.sde` with the ``advance`` that
 ``_coupled_advance`` builds, the counterpart of ``sde._tube_advance``.  A
 step evaluates the chart once at Y (``chart.at``); on radial charts G is
 the closed form (d - 1)(K q)^2 with q = (1/tl(R) - 1)/(K R^2) summed
-without cancellation.  |Yt| is taken once per step, at the exit check,
-and carried to the next step as the lane state ``Rt``.  Each lane
-carries the records listed once in ``RECORDS``: the inner product
-<U, Ut> with the prediction of its closed-form SDE (coefficients H and
-G), the compensated exponential's G_int and nu, the area martingale's Ito
-sum M_ito and bracket M_bracket with the beta integrals L and L_tilde
+without cancellation.  |Y| and |Yt| are taken once per step, at the exit
+check, and carried to the next step as the lane state ``R`` and ``Rt``.
+The records are listed once in ``RECORDS``: the inner product <U, Ut>
+with the prediction of its closed-form SDE (coefficients H and G), the
+compensated exponential's G_int and nu, the area martingale's Ito sum
+M_ito and bracket M_bracket with the beta integrals L and L_tilde
 (Levy-area increments by the Stratonovich midpoint rule), the running
 maximum ``sup_radius`` of |Y| over the grid states, which picks out the
-lanes that stay in any smaller tube, and the diagnostics.
-``martingale_Mp`` forms M_p from those records.
+lanes that stay in any smaller tube, and the diagnostics.  A run computes
+and carries only the records its caller asks for and the running state
+they are formed from; a step computes each quantity those records share
+(H, G, <U, Ut>, ...) once, when first read.  ``martingale_Mp`` forms M_p
+from the area records.
 """
 
 import math
@@ -46,6 +49,7 @@ __all__ = [
     "G_of",
     "CoupledEnsemble",
     "RECORDS",
+    "FORM_RECORDS",
     "simulate_coupled_ensemble",
     "martingale_Mp",
     "delta_tail_estimate",
@@ -71,27 +75,38 @@ class JMaps:
     J: np.ndarray
 
     @cached_property
-    def _gather(self):
-        """(rows, cols, signs) of the d entries +-1 of each J^i, rows rising;
-        refuses a J^i that is not a signed permutation in the layout of
-        ``build_J``, so the gather of ``apply`` cannot read it wrongly."""
+    def _terms(self):
+        """Per J^i, the (row, column, sign > 0) of its d entries +-1, rows
+        rising; refuses a J^i that is not a signed permutation in the layout
+        of ``build_J``, so that ``apply`` cannot read it wrongly."""
         i, a, b = np.nonzero(self.J)
         signs = self.J[i, a, b]
         if (self.J.shape != (self.d, self.n, self.d) or np.any(np.abs(signs) != 1.0)
                 or np.any(np.bincount(i * self.d + b, minlength=self.d * self.d) != 1)):
             raise ConstructionError("each J^i must hold one entry +-1 per column")
-        return a.reshape(self.d, -1), b.reshape(self.d, -1), signs.reshape(self.d, -1)
+        return [[(int(a[k]), int(b[k]), bool(signs[k] > 0)) for k in np.flatnonzero(i == ii)]
+                for ii in range(self.d)]
 
     def apply(self, u, w=None):
         """<J u, w> as a d-vector batch; with w=None returns J^i u stacked.
 
-        u: (..., d); w: (..., n).  Output (..., d) resp. (..., d, n).
+        u: (..., d); w: (..., n).  Output (..., d) resp. (..., d, n).  Each
+        component sums its d terms +-u[col] w[row] left to right, rows
+        rising, one column at a time (no (..., d, d) gathers).
         """
         if w is None:
             return np.einsum("iab,...b->...ia", self.J, u)
-        rows, cols, signs = self._gather
-        Ju = signs * np.asarray(u, dtype=float)[..., cols]
-        return _rowdot(Ju, np.asarray(w, dtype=float)[..., rows])
+        u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+        out = np.empty(np.broadcast_shapes(u.shape[:-1], w.shape[:-1]) + (self.d,))
+        for i, terms in enumerate(self._terms):
+            o = out[..., i]
+            (row, col, pos), rest = terms[0], terms[1:]
+            np.multiply(u[..., col], w[..., row], out=o)
+            if not pos:
+                np.negative(o, out=o)
+            for row, col, pos in rest:
+                (np.add if pos else np.subtract)(o, u[..., col] * w[..., row], out=o)
+        return out
 
 
 def build_J(d):
@@ -175,8 +190,12 @@ class CoupledEnsemble:
     """Per-path terminal records of a coupled simulation.
 
     Paths that exit the tube are frozen at their exit step; ``survived``
-    marks the paths that stayed inside for the whole horizon.  The array
-    fields, listed in ``RECORDS``, have length n_paths.
+    marks the paths that stayed inside for the whole horizon.  The fields
+    from ``max_radial_gap`` on are the records, listed in ``RECORDS``: a run
+    fills the ones it was asked for and leaves the others None.  The array
+    fields have length n_paths; ``h2_le_g_violations`` counts the lane-steps
+    where H^2 <= G fails and ``w0_identity_dev`` is the largest e0-identity
+    deviation.
     """
 
     n_paths: int
@@ -185,21 +204,21 @@ class CoupledEnsemble:
     T: float
     survived: np.ndarray
     exit_time: np.ndarray
-    max_radial_gap: np.ndarray
-    uu_final: np.ndarray
-    sup_udiff: np.ndarray      # running max of |U - Ut|
-    sup_radius: np.ndarray     # running max of |Y| over the grid states, launch included
-    udiff_final: np.ndarray
-    M_ito: np.ndarray
-    M_bracket: np.ndarray
-    L: np.ndarray
-    L_tilde: np.ndarray
-    G_int: np.ndarray
-    nu: np.ndarray
-    ortho_cov: np.ndarray      # sum_k dA^ij d|Y| for the lexicographically first pair
-    h2_le_g_violations: int
-    w0_identity_dev: float
-    uu_pred_gap: np.ndarray    # direct <U,Ut> minus Lemma-uu Euler prediction at T/exit
+    max_radial_gap: np.ndarray = None
+    uu_final: np.ndarray = None
+    sup_udiff: np.ndarray = None      # running max of |U - Ut|
+    sup_radius: np.ndarray = None     # running max of |Y| over the grid states, launch included
+    udiff_final: np.ndarray = None
+    M_ito: np.ndarray = None
+    M_bracket: np.ndarray = None
+    L: np.ndarray = None
+    L_tilde: np.ndarray = None
+    G_int: np.ndarray = None
+    nu: np.ndarray = None
+    ortho_cov: np.ndarray = None      # sum_k dA^ij d|Y| for the lexicographically first pair
+    h2_le_g_violations: int = None
+    w0_identity_dev: float = None
+    uu_pred_gap: np.ndarray = None    # direct <U,Ut> minus Lemma-uu Euler prediction at T/exit
 
     @property
     def n_survive(self):
@@ -207,18 +226,21 @@ class CoupledEnsemble:
 
     @classmethod
     def concat(cls, parts):
-        """Join ensembles over consecutive chunk ranges, given in chunk order."""
+        """Join ensembles over consecutive chunk ranges, given in chunk order;
+        the parts hold the same records."""
         if len(parts) == 1:
             return parts[0]
         first = parts[0]
+        joined = {k: _JOIN.get(k, np.concatenate)([getattr(p, k) for p in parts])
+                  for k in ("survived", "exit_time", *RECORDS) if getattr(first, k) is not None}
         return cls(n_paths=sum(p.n_paths for p in parts), delta=first.delta,
-                   dt=first.dt, T=first.T,
-                   h2_le_g_violations=sum(p.h2_le_g_violations for p in parts),
-                   w0_identity_dev=max(p.w0_identity_dev for p in parts),
-                   **{k: np.concatenate([getattr(p, k) for p in parts]) for k in RECORDS})
+                   dt=first.dt, T=first.T, **joined)
 
 
-RECORDS = tuple(f.name for f in fields(CoupledEnsemble) if f.type is np.ndarray)
+RECORDS = tuple(f.name for f in fields(CoupledEnsemble) if f.default is None)
+# the records of the area martingale and the beta integrals, which need forms
+FORM_RECORDS = ("M_ito", "M_bracket", "L", "L_tilde")
+_JOIN = {"h2_le_g_violations": sum, "w0_identity_dev": max}
 
 # launch values of the running per-lane state: the records that accumulate
 # along the path, the Lemma-uu prediction behind ``uu_pred_gap`` and the two
@@ -229,63 +251,119 @@ _RUNNING = {"max_radial_gap": 0.0, "uu_final": 1.0, "uu_pred": 1.0, "sup_udiff":
             "G_int": 0.0, "nu": 0.0, "ortho_cov": 0.0, "h2_le_g_violations": 0,
             "w0_identity_dev": 0.0}
 
+# the running state behind a record, where it is not the record alone: the
+# records formed at the end of a chunk from others, and nu, whose increment
+# takes the running G_int
+_NEEDS = {"udiff_final": ("uu_final",), "uu_pred_gap": ("uu_final", "uu_pred"),
+          "nu": ("nu", "G_int")}
 
-def _coupled_advance(chart, jmaps, cfg, forms, gen):
-    """``advance`` of coupled lanes on noise from ``gen``: one Euler step of
-    Y and Yt from the shared dW and one chart evaluation at Y, then one
-    update of each running record.  The lane state holds Y, Yt, the ``_RUNNING``
-    records and Rt = |Yt|, taken at the exit check (|Y| >= delta) and
-    carried into the next step."""
-    d, dt, delta = jmaps.d, cfg.dt, cfg.delta
+# the records a chunk forms from its running state at the end
+_FINAL = {"udiff_final": lambda rec: np.sqrt(np.maximum(2 * (1 - rec["uu_final"]), 0.0)),
+          "uu_pred_gap": lambda rec: rec["uu_final"] - rec["uu_pred"],
+          "h2_le_g_violations": lambda rec: int(rec["h2_le_g_violations"].sum()),
+          "w0_identity_dev": lambda rec: float(rec["w0_identity_dev"].max(initial=0.0))}
+
+
+class _PairStep:
+    """One Euler step of Y and Yt from the lane state ``s`` and the shared dW,
+    with one chart evaluation at Y, and the per-step quantities that the
+    running records read, each computed when first read and kept, as
+    ``_RadialPoint`` keeps rho, u and 1/tl."""
+
+    def __init__(self, chart, jmaps, forms, t, dt, s, dW, w1f):
+        self.d, self.forms, self.t, self.dt, self.dW, self.w1f = jmaps.d, forms, t, dt, dW, w1f
+        self.Y = s["Y"]
+        self.at = at = chart.at(t, self.Y, rho=s["R"])
+        self.R, self.U = at.rho, at.u
+        self.Ut = _rowscale(s["Yt"], s["Rt"], np.divide)
+        self.dB = jmaps.apply(self.U, dW)
+        self.dBt = jmaps.apply(self.Ut, dW)
+        self.Yn = self.Y + at.sigma_apply(self.dB) + at.bessel_drift() * dt
+        self.Ytn = s["Yt"] + self.dBt
+        self.Rn = np.sqrt(_rowdot(self.Yn, self.Yn))
+        self.Rtn = np.sqrt(_rowdot(self.Ytn, self.Ytn))
+
+    # inner-product SDE coefficients at the pre-step state
+    @cached_property
+    def H(self):
+        return _H(self.at, self.R, self.U - self.Ut)
+
+    @cached_property
+    def G(self):
+        return self.at.G()
+
+    @cached_property
+    def dW1(self):
+        # W1 extraction: <(sigma - I) Ut, dB> / (R^2 H); on lanes where the
+        # diffusion term degenerates the fresh independent increment stands in
+        num = _rowdot(self.at.sigma_apply(self.Ut) - self.Ut, self.dB)
+        den = self.R ** 2 * self.H
+        ok = den > 1e-14
+        return np.where(ok, num / np.where(ok, den, 1.0), self.w1f)
+
+    @cached_property
+    def uu(self):
+        return _rowdot(self.Yn, self.Ytn) / (self.Rn * self.Rtn)
+
+    @cached_property
+    def kd(self):
+        return np.einsum("mij,mij->m", self.forms.alpha_ij(self.t, self.Y),
+                         _area_increment(self.Y, self.Yn))
+
+    @cached_property
+    def w0_dev(self):
+        e0 = self.dW[:, 0]
+        return np.maximum(np.abs(_rowdot(self.U, self.dB) - e0),
+                          np.abs(_rowdot(self.Ut, self.dBt) - e0))
+
+    @cached_property
+    def dA01(self):
+        Y, Yn = self.Y, self.Yn
+        return (0.5 * (Y[:, 0] + Yn[:, 0]) * (Yn[:, 1] - Y[:, 1])
+                - 0.5 * (Y[:, 1] + Yn[:, 1]) * (Yn[:, 0] - Y[:, 0]))
+
+
+# one step's update of each running record from the lane state s and the step q
+_UPDATE = {
+    "max_radial_gap": lambda s, q: np.maximum(s["max_radial_gap"], np.abs(q.Rn - q.Rtn)),
+    "uu_final": lambda s, q: q.uu,
+    "uu_pred": lambda s, q: (s["uu_pred"] + q.R * q.H * q.dW1
+                             - 0.5 * q.R ** 2 * q.G * s["uu_pred"] * q.dt),
+    "sup_udiff": lambda s, q: np.maximum(s["sup_udiff"],
+                                         np.sqrt(np.maximum(2.0 * (1.0 - q.uu), 0.0))),
+    "sup_radius": lambda s, q: np.maximum(s["sup_radius"], q.Rn),
+    "M_ito": lambda s, q: s["M_ito"] + q.kd,
+    "M_bracket": lambda s, q: s["M_bracket"] + q.kd ** 2,
+    "L": lambda s, q: s["L"] + q.forms.beta(q.t, q.U) * q.dt,
+    "L_tilde": lambda s, q: s["L_tilde"] + q.forms.beta(q.t, q.Ut) * q.dt,
+    "G_int": lambda s, q: s["G_int"] + q.R ** 2 * q.G * q.dt,
+    # nu's increment takes the left-point running integral of R^2 G
+    "nu": lambda s, q: s["nu"] + q.R ** 2 * q.H ** 2 * q.dt * np.exp(s["G_int"]),
+    "ortho_cov": lambda s, q: s["ortho_cov"] + q.dA01 * (q.Rn - q.R),
+    "h2_le_g_violations": lambda s, q: (s["h2_le_g_violations"]
+                                        + _h2_exceeds_g(q.H, q.G, q.R, q.d)),
+    "w0_identity_dev": lambda s, q: np.maximum(s["w0_identity_dev"], q.w0_dev),
+}
+
+
+def _coupled_advance(chart, jmaps, cfg, forms, gen, running):
+    """``advance`` of coupled lanes on noise from ``gen``: one ``_PairStep``,
+    then one update of each of the ``running`` records.  The lane state
+    holds Y, Yt, R = |Y| and Rt = |Yt|, taken at the exit check (|Y| >= delta)
+    and carried into the next step, and the running records."""
+    dt, delta = cfg.dt, cfg.delta
     sq = math.sqrt(dt)
 
     def advance(k, s):
-        t, Y, Yt = k * dt, s["Y"], s["Yt"]
-        dW = sq * gen.standard_normal((Y.shape[0], jmaps.n))
-        w1f = sq * gen.standard_normal(Y.shape[0])
-        at = chart.at(t, Y)
-        R, U = at.rho, at.u
-        Ut = _rowscale(Yt, s["Rt"], np.divide)
-        dB = jmaps.apply(U, dW)
-        dBt = jmaps.apply(Ut, dW)
-        w0_dev = np.maximum(np.abs(_rowdot(U, dB) - dW[:, 0]), np.abs(_rowdot(Ut, dBt) - dW[:, 0]))
-        Yn = Y + at.sigma_apply(dB) + at.bessel_drift() * dt
-        Ytn = Yt + dBt
-
-        # inner-product SDE coefficients at the pre-step state
-        H = _H(at, R, U - Ut)
-        G = at.G()
-        # W1 extraction: <(sigma - I) Ut, dB> / (R^2 H); on lanes where the
-        # diffusion term degenerates the fresh independent increment stands in
-        num = _rowdot(at.sigma_apply(Ut) - Ut, dB)
-        den = R ** 2 * H
-        ok = den > 1e-14
-        dW1 = np.where(ok, num / np.where(ok, den, 1.0), w1f)
-
-        Rn = np.sqrt(_rowdot(Yn, Yn))
-        Rtn = np.sqrt(_rowdot(Ytn, Ytn))
-        uu = _rowdot(Yn, Ytn) / (Rn * Rtn)
-        run = dict(
-            s, Y=Yn, Yt=Ytn, Rt=Rtn, uu_final=uu,
-            w0_identity_dev=np.maximum(s["w0_identity_dev"], w0_dev),
-            h2_le_g_violations=s["h2_le_g_violations"] + _h2_exceeds_g(H, G, R, d),
-            max_radial_gap=np.maximum(s["max_radial_gap"], np.abs(Rn - Rtn)),
-            uu_pred=s["uu_pred"] + R * H * dW1 - 0.5 * R ** 2 * G * s["uu_pred"] * dt,
-            # nu's increment takes the left-point running integral of R^2 G
-            nu=s["nu"] + R ** 2 * H ** 2 * dt * np.exp(s["G_int"]),
-            G_int=s["G_int"] + R ** 2 * G * dt,
-            sup_udiff=np.maximum(s["sup_udiff"], np.sqrt(np.maximum(2.0 * (1.0 - uu), 0.0))),
-            sup_radius=np.maximum(s["sup_radius"], Rn))
-        if forms is not None:
-            kd = np.einsum("mij,mij->m", forms.alpha_ij(t, Y), _area_increment(Y, Yn))
-            run.update(M_ito=s["M_ito"] + kd, M_bracket=s["M_bracket"] + kd ** 2,
-                       L=s["L"] + forms.beta(t, U) * dt,
-                       L_tilde=s["L_tilde"] + forms.beta(t, Ut) * dt)
-        if d >= 2:
-            dA01 = (0.5 * (Y[:, 0] + Yn[:, 0]) * (Yn[:, 1] - Y[:, 1])
-                    - 0.5 * (Y[:, 1] + Yn[:, 1]) * (Yn[:, 0] - Y[:, 0]))
-            run["ortho_cov"] = s["ortho_cov"] + dA01 * (Rn - R)
-        return run, Rn >= delta
+        m = s["Y"].shape[0]
+        dW = sq * gen.standard_normal((m, jmaps.n))
+        # drawn on every step, read or not, so that the stream and every
+        # record stay the same whichever records a run keeps
+        w1f = sq * gen.standard_normal(m)
+        q = _PairStep(chart, jmaps, forms, k * dt, dt, s, dW, w1f)
+        run = {"Y": q.Yn, "Yt": q.Ytn, "R": q.Rn, "Rt": q.Rtn}
+        run.update((name, _UPDATE[name](s, q)) for name in running)
+        return run, q.Rn >= delta
     return advance
 
 
@@ -294,17 +372,23 @@ def martingale_Mp(records, p):
     return p * np.asarray(records.M_ito) - 0.5 * p * p * np.asarray(records.M_bracket)
 
 
-def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, chunk_range=None):
-    """Run the coupled pair for an ensemble and collect diagnostics.
+def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, chunk_range=None,
+                              records=RECORDS):
+    """Run the coupled pair for an ensemble and collect ``records``.
 
-    ``forms`` (a :class:`~omtube.om.GirsanovForms`) switches on the
-    bookkeeping of the area martingale and the beta integrals.  The pair is
-    launched from one shared plain Gaussian step (sigma(0) = I, c(0) = 0),
-    after which both spherical parts are defined and equal.  Each chunk
-    then runs the stepping loop of :mod:`omtube.sde` over the pair and the
-    running records; a lane leaves at the first grid state with
-    |Y| >= delta.  ``chunk_range`` is as in ``sde.run_tube_ensemble``.
-    The pair steps by Euler-Maruyama; any other ``cfg.scheme`` is refused.
+    ``records`` names the records of ``RECORDS`` to compute (default: all);
+    a step updates only those and the running state they are formed from,
+    and the others come back None.  The survival and exit times come back
+    always.  ``forms`` (a :class:`~omtube.om.GirsanovForms`) drives the
+    records of ``FORM_RECORDS``, the area martingale and the beta
+    integrals; without forms they read 0.  The pair is launched from one
+    shared plain Gaussian step (sigma(0) = I, c(0) = 0), after which both
+    spherical parts are defined and equal.  Each chunk then runs the
+    stepping loop of :mod:`omtube.sde` over the pair and the running
+    records; a lane leaves at the first grid state with |Y| >= delta.
+    ``chunk_range`` is as in ``sde.run_tube_ensemble``.  The pair steps by
+    Euler-Maruyama; any other ``cfg.scheme`` is refused.  A record's bits
+    do not depend on which other records are asked for.
     """
     if cfg.delta is None:
         raise ConstructionError("coupled ensembles need a tube radius delta")
@@ -315,8 +399,18 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, chunk_range=None)
                                 "the bookkeeping needs exact grid states")
     if cfg.scheme != "euler_maruyama":
         raise ConstructionError(f"coupled runs step by euler_maruyama, not {cfg.scheme!r}")
+    records = tuple(records)
+    unknown = sorted(set(records) - set(RECORDS))
+    if unknown:
+        raise ConstructionError(f"unknown coupled records {unknown}; see coupling.RECORDS")
     T, n_steps = cfg.horizon(chart.curve)
     j, dt, delta = build_J(chart.d), cfg.dt, cfg.delta
+    need = {k for r in records for k in _NEEDS.get(r, (r,))}
+    running = [k for k in _RUNNING if k in need]
+    # without forms the form records keep their launch value 0, and in d = 1,
+    # with no coordinate plane, so does ortho_cov
+    stepped = [k for k in running if not (forms is None and k in FORM_RECORDS
+                                          or k == "ortho_cov" and j.d < 2)]
 
     parts = []
     for chunk_id, m in _chunks(n_paths, chunk_range):
@@ -333,18 +427,14 @@ def simulate_coupled_ensemble(chart, cfg, n_paths, forms=None, chunk_range=None)
 
         # full-length records, copied into at exit and at the end, and the
         # compacted running state of the live lanes
-        rec = {**{k: np.full(m, v) for k, v in _RUNNING.items()}, "sup_radius": r0}
-        state = {"Y": Y.take(lanes, axis=0), "Yt": Y.take(lanes, axis=0), "Rt": r0.take(lanes),
-                 **{k: v.take(lanes) for k, v in rec.items()}}
-        _step_lanes(_coupled_advance(chart, j, cfg, forms, gen), range(1, n_steps), dt,
-                    state, lanes, tex, rec)
+        rec = {k: r0 if k == "sup_radius" else np.full(m, _RUNNING[k]) for k in running}
+        state = {"Y": Y.take(lanes, axis=0), "Yt": Y.take(lanes, axis=0), "R": r0.take(lanes),
+                 "Rt": r0.take(lanes), **{k: rec[k].take(lanes) for k in stepped}}
+        _step_lanes(_coupled_advance(chart, j, cfg, forms, gen, stepped), range(1, n_steps), dt,
+                    state, lanes, tex, {k: rec[k] for k in stepped})
         parts.append(CoupledEnsemble(
             n_paths=m, delta=delta, dt=dt, T=T, survived=np.isnan(tex) & ~degenerate,
-            exit_time=tex,
-            udiff_final=np.sqrt(np.maximum(2 * (1 - rec["uu_final"]), 0.0)),
-            uu_pred_gap=rec["uu_final"] - rec.pop("uu_pred"),
-            h2_le_g_violations=int(rec.pop("h2_le_g_violations").sum()),
-            w0_identity_dev=float(rec.pop("w0_identity_dev").max(initial=0.0)), **rec))
+            exit_time=tex, **{k: _FINAL[k](rec) if k in _FINAL else rec[k] for k in records}))
     return CoupledEnsemble.concat(parts)
 
 

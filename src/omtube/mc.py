@@ -312,16 +312,20 @@ def extrapolate_ratio(results):
 # ---------------------------------------------------------------------------
 
 def run_coupled(chart, field, *, delta, dt, T=None, n_paths, seed=0,
-                with_forms=True, threads=None):
-    """Coupled ensemble with optional measure-change bookkeeping (pooled)."""
-    forms = om.girsanov_forms(chart, field or om.zero_field(chart.d)) \
-        if with_forms else None
+                records=coupling.RECORDS, threads=None):
+    """Coupled ensemble holding ``records`` (default: all of
+    ``coupling.RECORDS``; the others come back None), pooled.  The
+    measure-change forms of ``field`` (None: the zero field) are built only
+    when a record of ``coupling.FORM_RECORDS`` is asked for."""
+    records = tuple(records)
+    forms = (om.girsanov_forms(chart, field or om.zero_field(chart.d))
+             if set(records) & set(coupling.FORM_RECORDS) else None)
     cfg = sde.IntegratorConfig(dt=dt, T=T, delta=delta, bridge_correction=False,
                                seed=seed)
 
     def job(chunk_range):
         return coupling.simulate_coupled_ensemble(chart, cfg, n_paths, forms=forms,
-                                                  chunk_range=chunk_range)
+                                                  chunk_range=chunk_range, records=records)
 
     parts = _run_pool(job, n_paths, threads)
     return coupling.CoupledEnsemble.concat(parts)
@@ -354,7 +358,9 @@ def conditional_moment_experiment(chart, field, *, deltas, c, T, n_paths,
     The pair's dynamics do not depend on delta, only its exit rule does, so
     one coupled ensemble at max(deltas) serves every cell: a cell's
     survivors are the lanes whose ``sup_radius`` stays below its delta, the
-    exit rule of a run at that delta applied to the shared paths.  The
+    exit rule of a run at that delta applied to the shared paths.  That run
+    keeps only the two records read here, ``sup_radius`` and
+    ``udiff_final``, with the bits a run keeping every record gives them.  The
     max(deltas) row is the run at that delta alone; every other row depends
     on the list's largest delta, whose run draws the noise, and the rows
     share lanes, so they are positively correlated.  All cells share one
@@ -372,7 +378,7 @@ def conditional_moment_experiment(chart, field, *, deltas, c, T, n_paths,
     if dt is None:
         dt = sde._auto_dt(T, deltas)
     ens = run_coupled(chart, field, delta=max(deltas), dt=dt, T=T, n_paths=n_paths,
-                      seed=seed, with_forms=False, threads=threads)
+                      seed=seed, records=("sup_radius", "udiff_final"), threads=threads)
     rows = []
     for delta in deltas:
         surv = ens.survived & (ens.sup_radius < delta)

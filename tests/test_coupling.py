@@ -83,6 +83,25 @@ def test_J_apply_gathers_the_dense_product(d, data):
         assert np.all(np.abs(j.apply(u, w) - dense) <= 2 * np.finfo(float).eps * scale)
 
 
+def _gathered(j, u, w):
+    """<J u, w> from (..., d, d) gathers of the entries of J, each row summed
+    left to right with J's rows rising: the reference for ``JMaps.apply``."""
+    i, a, b = np.nonzero(j.J)
+    rows, cols, signs = (v.reshape(j.d, -1) for v in (a, b, j.J[i, a, b]))
+    return geo._rowdot(signs * u[..., cols], w[..., rows])
+
+
+@given(st.integers(1, 4), st.sampled_from([(), (1,), (9,), (2, 3)]), st.data())
+def test_J_apply_equals_the_gathered_sum(d, batch, data):
+    j = cp.build_J(d)
+    el = st.floats(-1e100, 1e100, allow_nan=False)
+    u = data.draw(arrays(float, batch + (d,), elements=el))
+    w = data.draw(arrays(float, batch + (j.n,), elements=el))
+    got = j.apply(u, w)
+    assert got.shape == batch + (d,)
+    assert np.array_equal(got, _gathered(j, u, w))
+
+
 def test_J_apply_refuses_a_J_it_cannot_gather():
     j = cp.build_J(3)
     doubled = j.J.copy()
@@ -230,6 +249,12 @@ def test_coupled_run_refuses_other_schemes(sphere2_chart):
     cfg = sde.IntegratorConfig(dt=1e-3, T=0.01, delta=0.3, scheme="milstein_diagonal")
     with pytest.raises(ConstructionError, match="milstein_diagonal"):
         cp.simulate_coupled_ensemble(sphere2_chart, cfg, 16)
+
+
+def test_coupled_run_refuses_unknown_records(sphere2_chart):
+    cfg = sde.IntegratorConfig(dt=1e-3, T=0.01, delta=0.3)
+    with pytest.raises(ConstructionError, match="survived"):
+        cp.simulate_coupled_ensemble(sphere2_chart, cfg, 16, records=("nu", "survived"))
 
 
 def test_flat_coupling_is_pathwise_identical(euclid2_chart):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from omtube import _rng, coupling, geometry as geo, mc, om, sde
 from omtube.errors import ConstructionError, EstimationError, InsufficientSamplesError
@@ -254,7 +254,7 @@ def test_moment_one_pass_at_the_largest_delta(sphere2_chart):
     rows = _moment_rows(sphere2_chart, deltas)
     ens = mc.run_coupled(sphere2_chart, None, delta=0.4, dt=sde._auto_dt(_MOMENT["T"], deltas),
                          T=_MOMENT["T"], n_paths=_MOMENT["n_paths"], seed=_MOMENT["seed"],
-                         with_forms=False)
+                         records=("sup_radius", "udiff_final"))
     vals = np.exp((1.0 / math.sqrt(0.4)) * ens.udiff_final[ens.survived])
     assert rows[2] == {"delta": 0.4, "estimate": float(np.mean(vals)),
                        "se": float(np.std(vals, ddof=1) / math.sqrt(ens.n_survive)),
@@ -309,10 +309,10 @@ def _one_and_two_workers(fn, **kw):
 
 
 def _assert_same_ensemble(a, b):
-    for name in coupling.RECORDS:
-        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
-    assert ((a.n_paths, a.delta, a.dt, a.T, a.h2_le_g_violations, a.w0_identity_dev)
-            == (b.n_paths, b.delta, b.dt, b.T, b.h2_le_g_violations, b.w0_identity_dev))
+    for name in ("survived", "exit_time", *coupling.RECORDS):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y, equal_nan=True), name
+    assert (a.n_paths, a.delta, a.dt, a.T) == (b.n_paths, b.delta, b.dt, b.T)
 
 
 def test_pooled_coupled_matches_one_worker():
@@ -347,11 +347,51 @@ def test_pool_runs_shot_chart(warped3_chart, monkeypatch):
     monkeypatch.setattr(_rng, "CHUNK", 4)
     one, two = _one_and_two_workers(
         mc.run_coupled, chart=warped3_chart, field=None, delta=0.1, dt=2e-4,
-        T=1e-3, n_paths=8, seed=3, with_forms=False)
+        T=1e-3, n_paths=8, seed=3,
+        records=[r for r in coupling.RECORDS if r not in coupling.FORM_RECORDS])
     _assert_same_ensemble(one, two)
 
 
 def test_run_coupled_refuses_forms_on_shot_chart(warped3_chart):
     with pytest.raises(ConstructionError, match="PrecomputedChart"):
         mc.run_coupled(warped3_chart, None, delta=0.1, dt=2e-4, T=2e-4, n_paths=8,
-                       seed=3, with_forms=True)
+                       seed=3, records=("L",))
+
+
+_RECORD_CHARTS = {"s2": ("sphere2_chart", om.rotational_field(1.0)),
+                  "s3": ("sphere3_chart", om.linear_field(np.array([[0.0, -1.0, 0.4],
+                                                                     [1.0, 0.0, -0.7],
+                                                                     [-0.4, 0.7, 0.0]]))),
+                  "h3": ("hyperbolic3_chart", om.linear_field(np.array([[0.0, 0.5, -1.0],
+                                                                        [-0.5, 0.0, 0.3],
+                                                                        [1.0, -0.3, 0.0]])))}
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(_RECORD_CHARTS)), st.booleans(), st.sampled_from([1, 2]),
+       st.sets(st.sampled_from(coupling.RECORDS)))
+@example(chart="s2", rotational=False, threads=1, records={"nu"})
+@example(chart="s3", rotational=True, threads=2, records={"uu_pred_gap", "M_bracket"})
+@example(chart="h3", rotational=False, threads=1, records={"sup_radius", "udiff_final"})
+def test_records_subset_matches_the_full_run(request, chart, rotational, threads, records):
+    # a run keeps each record it is asked for with the bits of a run that
+    # keeps them all, and returns None for the others; two 64-lane chunks,
+    # on one worker or one chunk per worker
+    fixture, field = _RECORD_CHARTS[chart]
+    kw = dict(chart=request.getfixturevalue(fixture), field=field if rotational else None,
+              delta=0.2, dt=5e-4, T=0.02, n_paths=128, seed=7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_rng, "CHUNK", 64)
+        full = mc.run_coupled(threads=1, **kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # pooling must not warn or fall back
+            part = mc.run_coupled(records=records, threads=threads, **kw)
+    assert 0 < full.n_survive < full.n_paths
+    for name in ("survived", "exit_time"):
+        assert np.array_equal(getattr(part, name), getattr(full, name), equal_nan=True), name
+    for name in coupling.RECORDS:
+        got = getattr(part, name)
+        if name in records:
+            assert np.array_equal(got, getattr(full, name), equal_nan=True), name
+        else:
+            assert got is None, name

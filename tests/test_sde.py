@@ -153,18 +153,21 @@ def test_steps_equal_evaluator_composition(name, request):
     assert np.array_equal(sde._make_stepper("y", chart, None, cfg)(t, x, dB),
                           x + sig + chart.bessel_drift(t, x) * dt)
     # the coupled pair's Y, driven through the J maps at U = x/|x| by the dW
-    # of a generator with the same key; |Yt| leaves the step as its Rt
+    # of a generator with the same key; |Y| and |Yt| leave the step as its
+    # R and Rt
     j = cp.build_J(d)
     k = round(t / dt)
-    state = {"Y": x, "Yt": x[::-1], "Rt": np.linalg.norm(x[::-1], axis=1),
+    state = {"Y": x, "Yt": x[::-1], "R": np.linalg.norm(x, axis=1),
+             "Rt": np.linalg.norm(x[::-1], axis=1),
              **{name: np.full(x.shape[0], v) for name, v in cp._RUNNING.items()}}
     advance = cp._coupled_advance(chart, j, sde.IntegratorConfig(dt=dt, delta=chart.tube_radius),
-                                  None, _rng.chunk_generator(4, 0))
+                                  None, _rng.chunk_generator(4, 0), ())
     out, _ = advance(k, state)
     dW = math.sqrt(dt) * _rng.chunk_generator(4, 0).standard_normal((x.shape[0], j.n))
     dB = j.apply(x / np.linalg.norm(x, axis=1, keepdims=True), dW)
     assert np.array_equal(out["Y"], x + chart.sigma_apply(k * dt, x, dB)
                           + chart.bessel_drift(k * dt, x) * dt)
+    assert np.array_equal(out["R"], np.linalg.norm(out["Y"], axis=-1))
     assert np.array_equal(out["Rt"], np.linalg.norm(out["Yt"], axis=-1))
 
 
