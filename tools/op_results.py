@@ -20,7 +20,8 @@ geodesics shot on either side of the step-count boundaries, and two more finite-
 the shooting oracle, whose ambient differences its metric), and every
 record of three coupled ensembles (S2 with and without the rotational
 forms, S3 without), of which the workloads show only a few statistics, the
-rows of the moment experiment for one delta and, on a seed of its own,
+<J u, w> of the coupling's J maps for d = 1 to 4 (the workloads step the
+pair in d = 2 and 3 only), the rows of the moment experiment for one delta and, on a seed of its own,
 for an unsorted list that holds it (the workload runs one sorted list), and the difference and RK4
 routes that nothing else reaches (the Stokes consistency,
 finite-difference kernel and divergence of a cubic field on S2, the
@@ -67,6 +68,7 @@ def main(src):
     results["shot-ends"] = shot_ends()
     results["s2-difference-routes"] = s2_difference_routes()
     results["coupled-records"] = coupled_records()
+    results["jmaps-apply"] = jmaps_apply()
     results["moment-deltas"] = moment_deltas()
     results["difference-routes"] = difference_routes()
     results["radial-scalars"] = radial_scalars()
@@ -246,7 +248,30 @@ def coupled_records():
         ens = coupling.simulate_coupled_ensemble(chart, cfg, 128, forms=forms)
         out[name] = {"h2_le_g_violations": ens.h2_le_g_violations,
                      "w0_identity_dev": ens.w0_identity_dev,
-                     **{k: getattr(ens, k).tolist() for k in coupling.RECORDS}}
+                     **{k: getattr(ens, k).tolist() for k in _COUPLED_ARRAYS}}
+    return out
+
+
+# the per-lane arrays of ``coupling.CoupledEnsemble``, named here so that
+# trees whose ``coupling.RECORDS`` differ print the same entry
+_COUPLED_ARRAYS = ("survived", "exit_time", "max_radial_gap", "uu_final", "sup_udiff",
+                   "sup_radius", "udiff_final", "M_ito", "M_bracket", "L", "L_tilde",
+                   "G_int", "nu", "ortho_cov", "uu_pred_gap")
+
+
+def jmaps_apply():
+    """``coupling.build_J(d).apply(u, w)`` for d = 1 to 4 on fixed inputs: a
+    batch of seven points and one single point each (the workloads step the
+    pair in d = 2 and 3 only)."""
+    import numpy as np
+    from omtube import coupling
+
+    rng = np.random.default_rng(1)
+    out = {}
+    for d in range(1, 5):
+        j = coupling.build_J(d)
+        u, w = rng.standard_normal((7, d)), rng.standard_normal((7, j.n))
+        out[str(d)] = {"batch": j.apply(u, w).tolist(), "point": j.apply(u[0], w[0]).tolist()}
     return out
 
 
