@@ -311,12 +311,6 @@ class _PairStep:
                          _area_increment(self.Y, self.Yn))
 
     @cached_property
-    def w0_dev(self):
-        e0 = self.dW[:, 0]
-        return np.maximum(np.abs(_rowdot(self.U, self.dB) - e0),
-                          np.abs(_rowdot(self.Ut, self.dBt) - e0))
-
-    @cached_property
     def dA01(self):
         Y, Yn = self.Y, self.Yn
         return (0.5 * (Y[:, 0] + Yn[:, 0]) * (Yn[:, 1] - Y[:, 1])
@@ -342,7 +336,8 @@ _UPDATE = {
     "ortho_cov": lambda s, q: s["ortho_cov"] + q.dA01 * (q.Rn - q.R),
     "h2_le_g_violations": lambda s, q: (s["h2_le_g_violations"]
                                         + _h2_exceeds_g(q.H, q.G, q.R, q.d)),
-    "w0_identity_dev": lambda s, q: np.maximum(s["w0_identity_dev"], q.w0_dev),
+    "w0_identity_dev": lambda s, q: np.maximum(s["w0_identity_dev"], np.maximum(
+        np.abs(_rowdot(q.U, q.dB) - q.dW[:, 0]), np.abs(_rowdot(q.Ut, q.dBt) - q.dW[:, 0]))),
 }
 
 
