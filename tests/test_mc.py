@@ -358,13 +358,10 @@ def test_run_coupled_refuses_forms_on_shot_chart(warped3_chart):
                        seed=3, records=("L",))
 
 
+# each chart's fixture and rotational field (in d = 3, a skew linear field)
+_ROTATION3 = om.linear_field(np.array([[0.0, -1.0, 0.4], [1.0, 0.0, -0.7], [-0.4, 0.7, 0.0]]))
 _RECORD_CHARTS = {"s2": ("sphere2_chart", om.rotational_field(1.0)),
-                  "s3": ("sphere3_chart", om.linear_field(np.array([[0.0, -1.0, 0.4],
-                                                                     [1.0, 0.0, -0.7],
-                                                                     [-0.4, 0.7, 0.0]]))),
-                  "h3": ("hyperbolic3_chart", om.linear_field(np.array([[0.0, 0.5, -1.0],
-                                                                        [-0.5, 0.0, 0.3],
-                                                                        [1.0, -0.3, 0.0]])))}
+                  "s3": ("sphere3_chart", _ROTATION3), "h3": ("hyperbolic3_chart", _ROTATION3)}
 
 
 @settings(max_examples=30)
