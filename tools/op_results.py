@@ -11,8 +11,9 @@ field (so flags keep parsing to the same values and types), the states of
 five single paths of ``sde.simulate_X`` there, the evaluators of the
 warped 3-d chart (the metric, the tabulated sigma v, a and c and the
 finite-difference ``om.alpha_kernel`` of its grid chart, and the shot
-chart's metric, sigma v, a and c), whose last bits the ``ratio-warped3``
-survivor counts do not show, the geodesic acceleration and its
+chart's metric, sigma v, a and c, and sigma v, a and c of the grid chart
+at 2,100 points in one call, which its lookup splits into blocks), whose
+last bits the ``ratio-warped3`` survivor counts do not show, the geodesic acceleration and its
 linearization of the warped 3-d ambient for each profile at three points,
 which the shooting RK4 runs but no end point pins alone, the end points and Jacobi fields of single
 geodesics shot on either side of the step-count boundaries, and two more finite-difference routes on S2
@@ -64,6 +65,7 @@ def main(src):
     results["paths-x-s2-rot"] = paths_x_s2_rot()
     results["paths-x-s3"] = paths_x_s3()
     results["warped3-evaluators"] = warped3_evaluators()
+    results["grid-blocks"] = grid_blocks()
     results["ambient-rates"] = ambient_rates()
     results["shot-ends"] = shot_ends()
     results["s2-difference-routes"] = s2_difference_routes()
@@ -160,6 +162,29 @@ def warped3_evaluators():
             "shot_sigma_v": at.sigma_apply(v).tolist(),
             "shot_coriolis": at.coriolis().tolist(),
             "shot_bessel_drift": at.bessel_drift().tolist()}
+
+
+def grid_blocks():
+    """sigma v, a and c of the 6-node grid chart of the warped 3-d model at
+    2,100 fixed points in one call, more than any lookup block holds: random
+    points in its cube, every third with one coordinate on a node plane and
+    the first six on the faces x_i = +-0.3."""
+    import numpy as np
+    from omtube import geometry
+
+    chart = geometry.fermi_chart(
+        geometry.warped_diagonal(3, "bump_strong"),
+        geometry.constant_curve(T=0.005, point=[0.35, 0.15, -0.25]), 0.3)
+    grid = geometry.PrecomputedChart(chart, n_nodes=6)
+    rng = np.random.default_rng(2)
+    pts = rng.uniform(-0.3, 0.3, (2100, 3))
+    rows = np.arange(0, 2100, 3)
+    pts[rows, rows % 3] = np.resize(np.linspace(-0.3, 0.3, 6), rows.size)
+    pts[np.arange(6), np.arange(6) % 3] = [0.3, -0.3, 0.3, -0.3, 0.3, -0.3]
+    v = rng.standard_normal(pts.shape)
+    at = grid.at(0.0, pts)
+    return {"sigma_v": at.sigma_apply(v).tolist(), "coriolis": at.coriolis().tolist(),
+            "bessel_drift": at.bessel_drift().tolist()}
 
 
 def ambient_rates():
