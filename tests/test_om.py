@@ -238,6 +238,43 @@ def test_alpha_kernel_routing(sphere2_chart, warped3_chart, monkeypatch):
     om.alpha_kernel(sphere2_chart, om.linear_field(A), 0.0, x)
 
 
+def test_constant_curve_curvature_is_computed_once(warped3_chart, monkeypatch):
+    # a constant curve's centre and frame do not move, so its curvature is
+    # computed once for the whole action; every t gets the value a per-t
+    # evaluation gives, bit for bit, with its own t in ``at``
+    calls = []
+
+    def counted(ambient, y):
+        calls.append(y)
+        return ambient_curvature(ambient, y)
+
+    ambient_curvature = geo.ambient_curvature
+    monkeypatch.setattr(geo, "ambient_curvature", counted)
+    ch = warped3_chart
+    shot = geo.ShotChart(ch.model, ch.curve, ch.tube_radius, ch._vframe, ch.ambient,
+                         ch.centers, ch.frames)
+    grid = geo.PrecomputedChart(shot, n_nodes=5)
+    action = om.om_action(grid, om.zero_field(3))
+    assert len(calls) == 1
+    assert math.isclose(action.curvature, -grid.curvature_at(0.0).scalar / 12 * ch.curve.T,
+                        rel_tol=1e-14)
+    for t in ch.curve.grid:
+        got, want = grid.curvature_at(t), shot._curvature(t)
+        assert np.array_equal(got.riemann, want.riemann)
+        assert np.array_equal(got.ricci, want.ricci)
+        assert got.scalar == want.scalar
+        assert got.at[0] == t and np.array_equal(got.at[1], np.zeros(3))
+    assert len(calls) == 1 + len(ch.curve.grid)
+
+    # a moving curve's curvature is evaluated at each t
+    line = geo.ambient_curve(lambda t: np.array([-0.9 + 30 * t, 0.05, -0.05]),
+                             lambda t: np.array([30.0, 0.0, 0.0]), T=0.06, n_grid=8)
+    moving = geo.fermi_chart(ch.model, line, 0.3)
+    calls.clear()
+    scalars = [moving.curvature_at(t).scalar for t in (0.0, 0.01, 0.03)]
+    assert len(calls) == 3 and len(set(scalars)) == 3
+
+
 def test_zero_field_divergence(euclid2_chart):
     f = om.zero_field(2)
     x = np.zeros(2)
