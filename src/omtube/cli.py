@@ -320,7 +320,8 @@ def _cmd_weight(cfg):
     chart, field = _setup(cfg)
     delta = cfg["delta"][0]
     ens = mc.run_coupled(chart, field, delta=delta, dt=cfg["dt"], T=cfg["T"],
-                         n_paths=cfg["paths"], seed=cfg["seed"])
+                         n_paths=cfg["paths"], seed=cfg["seed"],
+                         records=coupling.FORM_RECORDS)
     w = mc.estimate_girsanov_weight(ens)
     print(f"weight delta={delta}: E[exp(M+L)|tube] {w.mean_weight:.5f} +- {w.se:.5f} "
           f"(survivors {w.n_survive}, jensen lower {w.jensen_lower:.5f})")

@@ -332,7 +332,10 @@ def run_coupled(chart, field, *, delta, dt, T=None, n_paths, seed=0,
 
 
 def estimate_girsanov_weight(ensemble):
-    """Conditional mean of exp(M(T) + L(T)) over tube-surviving paths."""
+    """Conditional mean of exp(M(T) + L(T)) over tube-surviving paths.
+    Reads ``survived`` and the records of ``coupling.FORM_RECORDS`` (M from
+    ``M_ito`` and ``M_bracket``, ``L`` and ``L_tilde``), so a run made for it
+    needs to keep only those."""
     surv = ensemble.survived
     n = int(np.count_nonzero(surv))
     if n < 100:
