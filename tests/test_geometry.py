@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -618,23 +619,18 @@ def test_grid_table_is_the_mirror_spline_of_ndimage(n):
     assert all(np.array_equal(table(x[i]), table(x)[i]) for i in (0, 200, 215, 220))
 
 
-def _cube_points(rng, n, nodes, bound):
-    """n random points of the cube [-bound, bound]^3, every third with one
-    coordinate on a node plane and every fifth with one on a face."""
-    x = rng.uniform(-bound, bound, (n, 3))
-    rows = np.arange(0, n, 3)
-    x[rows, rows % 3] = rng.choice(nodes, rows.size)
-    rows = np.arange(0, n, 5)
-    x[rows, (rows + 1) % 3] = rng.choice([-bound, bound], rows.size)
-    return x
-
-
 def test_grid_table_values_do_not_depend_on_block_size(warped3_chart):
     # each point is contracted with its own weights, so the step and metric
     # tables give the same bits for any lookup block; 2,500 points cross
-    # block boundaries at 256 and at 2,048
+    # block boundaries at 256 and at 2,048; a third of the points have a
+    # coordinate on a node plane and a fifth one on a face of the cube
     chart = geo.PrecomputedChart(warped3_chart, n_nodes=5)
-    x = _cube_points(np.random.default_rng(4), 2500, np.linspace(-0.3, 0.3, 5), 0.3)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-0.3, 0.3, (2500, 3))
+    rows = np.arange(0, 2500, 3)
+    x[rows, rows % 3] = rng.choice(np.linspace(-0.3, 0.3, 5), rows.size)
+    rows = np.arange(0, 2500, 5)
+    x[rows, (rows + 1) % 3] = rng.choice([-0.3, 0.3], rows.size)
     for table in (chart._step_table, chart._g):
         want = table(x)
         for block in (1, 7, 2048, 2501):
@@ -646,8 +642,6 @@ def test_grid_table_call_holds_one_block(warped3_chart):
     # a 16,384-point call holds its input, its (16384, 9) output and one
     # block's working set: a (256, 64, 9) gather of 1.2 MB with its index and
     # weight arrays; a 2,048-point block would hold 9.4 MB per gather
-    import tracemalloc
-
     table = geo.PrecomputedChart(warped3_chart, n_nodes=5)._step_table
     x = np.random.default_rng(5).uniform(-0.3, 0.3, (16384, 3))
     tracemalloc.start()

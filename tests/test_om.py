@@ -242,13 +242,12 @@ def test_constant_curve_curvature_is_computed_once(warped3_chart, monkeypatch):
     # a constant curve's centre and frame do not move, so its curvature is
     # computed once for the whole action; every t gets the value a per-t
     # evaluation gives, bit for bit, with its own t in ``at``
-    calls = []
+    calls, uncounted = [], geo.ambient_curvature
 
     def counted(ambient, y):
         calls.append(y)
-        return ambient_curvature(ambient, y)
+        return uncounted(ambient, y)
 
-    ambient_curvature = geo.ambient_curvature
     monkeypatch.setattr(geo, "ambient_curvature", counted)
     ch = warped3_chart
     shot = geo.ShotChart(ch.model, ch.curve, ch.tube_radius, ch._vframe, ch.ambient,
