@@ -37,6 +37,54 @@ def test_theta_series_against_mpmath():
     assert abs(sde.bm_tube_survival_theta(1.0, 1.0) - 0.3707774298) < 1e-9
 
 
+def flat_ball_oracle_mpmath(d, delta, T):
+    """The Bessel series of P[sup |B| < delta] at 30 digits, from mpmath's
+    zeros of J_nu (nu = d/2 - 1; the zeros (k - 1/2) pi for d = 1)."""
+    import mpmath
+
+    mpmath.mp.dps = 30
+    nu, u = mpmath.mpf(d) / 2 - 1, mpmath.mpf(T) / mpmath.mpf(delta) ** 2
+    s = mpmath.mpf(0)
+    for k in range(1, 400):
+        j = (k - mpmath.mpf(1) / 2) * mpmath.pi if d == 1 else mpmath.besseljzero(nu, k)
+        term = (j ** (nu - 1) / (2 ** (nu - 1) * mpmath.gamma(nu + 1) * mpmath.besselj(nu + 1, j))
+                * mpmath.exp(-j * j * u / 2))
+        s += term
+        if abs(term) < mpmath.mpf(10) ** -25 and j * j * u > nu + 1:
+            break
+    return float(s)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_flat_ball_series_against_mpmath(d):
+    # T/delta^2 from 0.02 to 3, and 0.005, where Doob's bound returns 1.0
+    for u in (0.005, 0.02, 0.05, 0.1, 0.3, 0.7, 1.0, 1.6, 3.0):
+        for delta in (0.25, 1.0):
+            p = sde.flat_ball_survival(d, delta, u * delta ** 2)
+            assert abs(p - flat_ball_oracle_mpmath(d, delta, u * delta ** 2)) < 1e-12, (u, delta)
+    # far inside the shortcut, where the series would need thousands of zeros
+    assert sde.flat_ball_survival(d, 25.0, 0.01) == 1.0
+    if d == 3:  # j_k = k pi and c_k = 2 (-1)^(k+1)
+        k = np.arange(1, 40)
+        closed = float(np.sum(2 * (-1.0) ** (k + 1) * np.exp(-(k * np.pi) ** 2 * 0.15)))
+        assert abs(sde.flat_ball_survival(3, 1.0, 0.3) - closed) < 1e-14
+
+
+def test_flat_ball_series_refuses_what_it_does_not_cover():
+    for d, delta, T in [(0, 1.0, 1.0), (2.5, 1.0, 1.0), (True, 1.0, 1.0), (2, 0.0, 1.0),
+                        (2, -1.0, 1.0), (2, 1.0, 0.0), (2, 1.0, -1.0), (2, math.nan, 1.0),
+                        (2, 1.0, math.inf)]:
+        with pytest.raises(ConstructionError):
+            sde.flat_ball_survival(d, delta, T)
+    # in d = 60 at T/delta^2 = 0.005 the terms reach 1e8 and cancel; further
+    # out the first term holds the sum, and 0 is returned where it underflows
+    with pytest.raises(ConstructionError, match="cancels"):
+        sde.flat_ball_survival(60, 1.0, 0.005)
+    p = sde.flat_ball_survival(60, 1.0, 0.1)
+    assert abs(p / flat_ball_oracle_mpmath(60, 1.0, 0.1) - 1) < 1e-12
+    assert sde.flat_ball_survival(2, 0.05, 1.0) == 0.0
+
+
 def test_tube_exit_check_limits():
     # deep inside the tube the bridge correction fires with probability ~ 0
     assert sde.tube_exit_check(0.0, 0.0, 0.2, 1e-4) < 1e-300

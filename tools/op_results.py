@@ -29,8 +29,9 @@ finite-difference kernel and divergence of a cubic field on S2, the
 derivative of a custom profile, and the transported frame velocity of a
 circle on H3), and the radial chart evaluators of H3 and S3 on both sides
 of the point where their radial scalars leave the series (no workload runs
-a chart of negative curvature), and the first draws of the chunk and
-single-path streams, which every Monte Carlo entry consumes.  The output
+a chart of negative curvature), the flat small-ball series for d = 1 to 4
+at fixed (delta, T), and the first draws of the chunk and single-path
+streams, which every Monte Carlo entry consumes.  The output
 is one sorted JSON line holding ``cli.SCHEMA`` and the results, so two
 trees can be compared textually: outputs that are meant to stay fixed are
 equal, or the schema differs.
@@ -74,6 +75,7 @@ def main(src):
     results["moment-deltas"] = moment_deltas()
     results["difference-routes"] = difference_routes()
     results["radial-scalars"] = radial_scalars()
+    results["flat-series"] = flat_series()
     results["streams"] = streams()
     print(json.dumps({"schema": cli.SCHEMA, "results": results}, sort_keys=True))
 
@@ -374,6 +376,16 @@ def radial_scalars():
                      "bessel_drift": at.bessel_drift().tolist(), "G": at.G().tolist(),
                      "alpha_kernel": om.alpha_kernel(chart, field, 0.0, pts).tolist()}
     return out
+
+
+def flat_series():
+    """``sde.flat_ball_survival`` for d = 1 to 4 at the (delta, T) of the
+    ratio workloads' cells and at T/delta^2 = 0.02 and 3."""
+    from omtube import sde
+
+    cells = ((0.25, 0.1), (0.3, 0.1), (0.35, 0.1), (0.1, 0.005), (0.5, 0.005), (0.2, 0.12))
+    return {str(d): [sde.flat_ball_survival(d, delta, T) for delta, T in cells]
+            for d in range(1, 5)}
 
 
 def streams():
