@@ -32,7 +32,7 @@ def path_generator(seed, path_index):
 
 
 def leg_seed(seed, leg):
-    """Derive independent stream seeds for estimator legs (numerator, denominator)."""
+    """Derive independent stream seeds for estimator legs (the ratio's X leg is leg 0)."""
     mask = (1 << 64) - 1
     x = (int(seed) + (leg + 1) * 0x9E3779B97F4A7C15) & mask
     # splitmix64 finalizer

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, coupling, geometry, mc, om, sde
 from .errors import ConstructionError, EstimationError, OmtubeError
 
-SCHEMA = 11
+SCHEMA = 12
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +244,17 @@ def _cmd_expansions(cfg):
 
 def _cmd_smallball(cfg):
     delta = cfg["delta"][0]
+    ref = sde.flat_ball_survival(cfg["dim"], delta, cfg["T"])
     est = mc.estimate_tube_prob("bm", d=cfg["dim"], delta=delta, dt=cfg["dt"],
                                 T=cfg["T"], n_paths=cfg["paths"], seed=cfg["seed"],
                                 bridge_correction=cfg["bridge"], scheme=cfg["scheme"])
-    ref = sde.bm_tube_survival_theta(delta, cfg["T"]) if cfg["dim"] == 1 else None
     line = (f"smallball d={cfg['dim']} delta={delta} T={cfg['T']}: "
-            f"p_hat {est.p_hat:.5f} +- {est.se:.5f}")
-    if ref is not None:
-        line += f"   theta-series {ref:.6f}"
-        if est.se > 0:  # p_hat 0 or 1 has no z
-            line += f"   z {(est.p_hat - ref) / est.se:+.2f}"
+            f"p_hat {est.p_hat:.5f} +- {est.se:.5f}   flat-series {ref:.6f}")
+    if est.se > 0:  # p_hat 0 or 1 has no z
+        line += f"   z {(est.p_hat - ref) / est.se:+.2f}"
     print(line)
     _maybe_dump(cfg, "bm", None, None)
-    return {"estimate": est.to_dict(), "theta_reference": ref}, None, 0
+    return {"estimate": est.to_dict(), "flat_series": ref}, None, 0
 
 
 def _cmd_ratio(cfg):
@@ -269,8 +267,7 @@ def _cmd_ratio(cfg):
                               bridge_correction=cfg["bridge"], scheme=cfg["scheme"])
         cells.append(r)
         rows.append([delta, cfg["dt"], cfg["paths"], r.numerator.n_survive,
-                     r.denominator.n_survive, r.ratio, r.ratio_se, r.predicted,
-                     r.z_score])
+                     r.denominator.p_hat, r.ratio, r.ratio_se, r.predicted, r.z_score])
         print(f"ratio delta={delta} dt={cfg['dt']:.3g}: {r.ratio:.5f} +- "
               f"{r.ratio_se:.5f}   predicted {r.predicted:.5f}   z {r.z_score:+.2f}")
     result = {"cells": [c.to_dict() for c in cells]}
@@ -279,7 +276,7 @@ def _cmd_ratio(cfg):
         result["extrapolation"] = ex.to_dict()
         print(f"ratio extrapolated limit {ex.limit:.5f} +- {ex.limit_se:.5f}"
               f"{'   (low confidence)' if ex.low_confidence else ''}")
-    csv_rows = [["delta", "dt", "paths", "num_survive", "den_survive", "ratio",
+    csv_rows = [["delta", "dt", "paths", "num_survive", "den_p_hat", "ratio",
                  "ratio_se", "predicted", "z_score"]] + rows
     _maybe_dump(cfg, "x", chart, field)
     return result, csv_rows, 0

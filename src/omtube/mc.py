@@ -4,9 +4,17 @@ the coupled spherical separation, and extrapolation of the ratio to
 vanishing tube radius.
 
 Estimation policy: plain rejection conditioning (no importance sampling or
-splitting), binomial standard errors, numerator and denominator legs always
-sharing the time step and the exit-monitoring scheme so the
-discrete-monitoring bias cancels in the ratio.  All estimators are
+splitting) and binomial standard errors.  The ratio's denominator, the flat
+small-ball probability, is exact (``sde.flat_ball_survival``), so the X leg
+is a cell's one Monte Carlo leg and holds all of its dt bias.  A
+bridge-corrected flat leg would have cancelled none of it: with 8,388,608
+paths per cell it was within 1.6 SE of the series (0.08-0.27 % relative SE)
+at every dt <= delta^2/25 in d = 2, 3 and 4, while the X leg on S^3 (delta
+0.3, T 0.06, against the exact sine series) read -0.19 %, -0.19 %, -0.12 %
+and +0.02 % at dt = delta^2/26, /51, /102 and /204 (SE 0.085 %).  Coarser
+steps bias the bridge rule itself (-0.7 % at delta^2/12 and -2.3 % at
+delta^2/6 for d = 2, delta = 0.25), which the ratio no longer shares with
+a flat leg; ``sde.IntegratorConfig`` warns above delta^2/50.  All estimators are
 deterministic functions of (seed, configuration), and ensembles can fan
 out over a process pool (``OMTUBE_THREADS`` workers, an integer >= 1)
 without changing any output bit: each chunk of paths draws from its own
@@ -178,9 +186,15 @@ def _run_pool(job, n_paths, threads):
 # tube-probability estimation
 # ---------------------------------------------------------------------------
 
-def _tube_job(process, chart, field, d, n_paths, keep_exit_times=False, **cfg):
-    """``job(chunk_range)`` of one tube leg for ``_run_pool``; ``cfg`` holds
-    the leg's ``sde.IntegratorConfig`` fields."""
+def estimate_tube_prob(process, *, chart=None, field=None, d=None, delta, dt,
+                       T=None, n_paths, seed=0, bridge_correction=True,
+                       scheme="euler_maruyama", threads=None,
+                       keep_exit_times=False):
+    """Rejection Monte Carlo estimate of a tube-survival probability.
+
+    process: "x" (lifted diffusion), "y" (radial reference), or "bm".
+    """
+    process = process.lower()
     if n_paths < 1000:
         raise EstimationError("tube estimation needs at least 1e3 paths")
     if process in ("x", "y"):
@@ -189,23 +203,20 @@ def _tube_job(process, chart, field, d, n_paths, keep_exit_times=False, **cfg):
         d = chart.d
     elif d is None:
         raise ConstructionError("plain BM needs the dimension d")
-    cfg = sde.IntegratorConfig(**cfg)
+    cfg = sde.IntegratorConfig(dt=dt, T=T, delta=delta, seed=seed, scheme=scheme,
+                               bridge_correction=bridge_correction)
     drift_field = field if process == "x" else None
 
     def job(chunk_range):
         return sde.run_tube_ensemble(process, d, cfg, n_paths, chart=chart,
                                      drift_field=drift_field, chunk_range=chunk_range,
                                      want_exit_times=keep_exit_times)
-    return job
 
-
-def _tube_estimate(parts, process, delta, dt):
-    """The estimate of one tube leg from its slices' ensembles, in slice order."""
+    parts = _run_pool(job, n_paths, threads)
     n_tot = sum(p.n_paths for p in parts)
     n_surv = sum(p.n_survive for p in parts)
     exit_times = (np.concatenate([p.exit_times for p in parts])
-                  if parts[0].exit_times is not None else None)
-
+                  if keep_exit_times else None)
     p_hat = n_surv / n_tot
     se = math.sqrt(p_hat * (1 - p_hat) / n_tot)
     warning = None
@@ -216,46 +227,37 @@ def _tube_estimate(parts, process, delta, dt):
                         warning=warning, exit_times=exit_times)
 
 
-def estimate_tube_prob(process, *, chart=None, field=None, d=None, delta, dt,
-                       T=None, n_paths, seed=0, bridge_correction=True,
-                       scheme="euler_maruyama", threads=None,
-                       keep_exit_times=False):
-    """Rejection Monte Carlo estimate of a tube-survival probability.
-
-    process: "x" (lifted diffusion), "y" (radial reference), or "bm".
-    """
-    process = process.lower()
-    job = _tube_job(process, chart, field, d, n_paths, keep_exit_times, dt=dt, T=T,
-                    delta=delta, seed=seed, scheme=scheme,
-                    bridge_correction=bridge_correction)
-    return _tube_estimate(_run_pool(job, n_paths, threads), process, delta, dt)
-
-
 def estimate_ratio(chart, field, *, delta, dt, n_paths, seed=0,
                    bridge_correction=True, scheme="euler_maruyama", threads=None):
     """Tube-probability ratio of the lifted diffusion against flat BM.
 
-    Both legs use the same dt, the same horizon, and the same monitoring
-    scheme; they draw from independent streams derived from ``seed``.  One
-    pool runs both: each slice runs its chunks of the X leg, then of the BM leg.
+    The numerator is the X leg, ``estimate_tube_prob("x", ...)`` on the
+    stream seed ``_rng.leg_seed(seed, 0)``.  The denominator is the flat
+    small-ball probability from its series, ``sde.flat_ball_survival``: a
+    ``TubeEstimate`` with that ``p_hat``, ``se`` 0, no paths, ``dt`` 0
+    (continuous monitoring) and ``process`` "series".  So ``ratio_se`` is
+    the ratio times the numerator's relative SE.  Raises EstimationError
+    when the series underflows to 0 or the X leg has no survivor.
     """
     field = field or om.zero_field(chart.d)
     T = chart.curve.T
-    cfg = dict(dt=dt, T=T, delta=delta, scheme=scheme, bridge_correction=bridge_correction)
-    legs = (_tube_job("x", chart, field, None, n_paths, seed=_rng.leg_seed(seed, 0), **cfg),
-            _tube_job("bm", None, None, chart.d, n_paths, seed=_rng.leg_seed(seed, 1), **cfg))
-    parts = _run_pool(lambda chunk_range: [job(chunk_range) for job in legs],
-                      n_paths, threads)
-    num, den = (_tube_estimate([p[leg] for p in parts], process, delta, dt)
-                for leg, process in enumerate(("x", "bm")))
-    if num.n_survive == 0 or den.n_survive == 0:
+    flat = sde.flat_ball_survival(chart.d, delta, T)
+    if flat == 0.0:
         raise EstimationError(
-            f"zero survivors (numerator {num.n_survive}, denominator "
-            f"{den.n_survive}) at delta={delta}, T={T}; the tube event is too rare "
-            "for rejection sampling at this sample size")
-    ratio = num.p_hat / den.p_hat
-    rel = math.sqrt((num.se / num.p_hat) ** 2 + (den.se / den.p_hat) ** 2)
-    ratio_se = ratio * rel
+            f"the flat small-ball probability underflows to 0 at delta={delta}, T={T}; "
+            "the tube event is too rare for rejection sampling at any sample size")
+    num = estimate_tube_prob("x", chart=chart, field=field, delta=delta, dt=dt, T=T,
+                             n_paths=n_paths, seed=_rng.leg_seed(seed, 0),
+                             bridge_correction=bridge_correction, scheme=scheme,
+                             threads=threads)
+    if num.n_survive == 0:
+        raise EstimationError(
+            f"zero survivors of the X leg at delta={delta}, T={T}; the tube event is "
+            "too rare for rejection sampling at this sample size")
+    den = TubeEstimate(p_hat=flat, se=0.0, n_paths=0, n_survive=0, delta=delta, dt=0.0,
+                       T=T, process="series")
+    ratio = num.p_hat / flat
+    ratio_se = ratio * num.se / num.p_hat
     action = om.om_action(chart, field)
     predicted = action.predicted_ratio()
     z = (ratio - predicted) / ratio_se if ratio_se > 0 else float("inf")

@@ -13,9 +13,10 @@ lane, on a stream keyed by ``(seed, path_index)``, and record it as
 a :class:`PathSample`.  :mod:`omtube.coupling` steps the coupled pair with
 the same loop.  Tube lanes exit by the one rule ``tube_exit_check``.
 
-The denominator of the tube-probability ratio is always simulated with the
-same time step and the same exit monitoring as the numerator, so the
-discrete-monitoring bias largely cancels in the ratio.
+The denominator of the tube-probability ratio, the flat small-ball
+probability, is not simulated: ``flat_ball_survival`` sums its Bessel
+series.  The BM ensemble stays for ``omtube smallball`` and for the tests
+that hold it to that series.
 """
 
 import math
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .errors import ChartDomainError, ConstructionError, EstimationError
+from .errors import ChartDomainError, ConstructionError
 from .geometry import _rowdot
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "tube_exit_check",
     "run_tube_ensemble",
     "flat_ball_survival",
-    "bm_tube_survival_theta",
     "dump_paths_ndjson",
 ]
 
@@ -437,25 +437,6 @@ def flat_ball_survival(d, delta, T):
         if done.size:
             return min(max(float(total[done[0]]), 0.0), 1.0)
         span *= 2
-
-
-def bm_tube_survival_theta(delta, T):
-    """P[max_{[0,T]} |B(t)| <= delta] for 1-d Brownian motion.
-
-    Alternating theta series (4/pi) sum (-1)^k/(2k+1) exp(-(2k+1)^2 pi^2 T
-    / (8 delta^2)), summed until a term drops below 1e-16 (at most 200 terms).
-    """
-    if delta <= 0 or T <= 0:
-        raise EstimationError("delta and T must be positive")
-    s = 0.0
-    lam = math.pi ** 2 * T / (8.0 * delta ** 2)
-    for k in range(200):
-        n = 2 * k + 1
-        term = ((-1) ** k / n) * math.exp(-n * n * lam)
-        s += term
-        if abs(term) < 1e-16:
-            break
-    return 4.0 * s / math.pi
 
 
 def dump_paths_ndjson(fh, paths, max_paths=100):

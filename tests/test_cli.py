@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from omtube import cli, coupling, mc, om
+from omtube import cli, coupling, mc, om, sde
 
 
 def run_cli(argv):
@@ -142,9 +142,29 @@ def test_smallball_artifact(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     p = doc["results"]["estimate"]["p_hat"]
-    ref = doc["results"]["theta_reference"]
+    ref = doc["results"]["flat_series"]
     assert abs(p - ref) < 0.02
-    assert "theta-series" in capsys.readouterr().out
+    assert "flat-series" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dim", ["1", "2", "3", "4"])
+def test_smallball_series_and_z_in_every_dim(tmp_path, capsys, dim):
+    out = tmp_path / "sb.json"
+    assert run_cli(["smallball", "--dim", dim, "--delta", "0.3", "--T", "0.05",
+                    "--paths", "20000", "--seed", "3", "--out", str(out)]) == 0
+    line = capsys.readouterr().out
+    res = json.loads(out.read_text())["results"]
+    assert res["flat_series"] == sde.flat_ball_survival(int(dim), 0.3, 0.05)
+    z = (res["estimate"]["p_hat"] - res["flat_series"]) / res["estimate"]["se"]
+    assert f"flat-series {res['flat_series']:.6f}" in line and f"z {z:+.2f}" in line
+    assert abs(z) < 4
+
+
+def test_smallball_without_series_exits_2(capsys):
+    # the d = 60 series cancels beyond double precision at T/delta^2 = 0.005
+    assert run_cli(["smallball", "--dim", "60", "--delta", "1", "--T", "0.005",
+                    "--paths", "1000"]) == 2
+    assert "cancels" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,p_hat", [
@@ -156,7 +176,7 @@ def test_smallball_zero_se_prints_no_z(tmp_path, capsys, argv, p_hat):
     assert run_cli(["smallball", "--dim", "1", *argv, "--paths", "1000",
                     "--out", str(out)]) == 0
     line = capsys.readouterr().out
-    assert "theta-series" in line and " z " not in line
+    assert "flat-series" in line and " z " not in line
     est = json.loads(out.read_text())["results"]["estimate"]
     assert (est["p_hat"], est["se"]) == (p_hat, 0.0)
 
@@ -175,6 +195,20 @@ def test_ratio_with_csv_and_extrapolation(tmp_path):
     rows = csvp.read_text().strip().splitlines()
     assert rows[0].startswith("delta,dt,paths")
     assert len(rows) == 4
+
+
+def test_ratio_defaults_divide_by_the_series(tmp_path, capsys):
+    # the default model is flat d = 2, so the ratio is the X leg over the
+    # exact flat series, and its z is against exp(-S) = 1
+    out, csvp = tmp_path / "ratio.json", tmp_path / "ratio.csv"
+    assert run_cli(["ratio", "--out", str(out), "--csv", str(csvp)]) == 0
+    cell = json.loads(out.read_text())["results"]["cells"][0]
+    series = sde.flat_ball_survival(2, 0.2, 0.04)
+    assert cell["denominator"]["p_hat"] == series and cell["denominator"]["se"] == 0.0
+    assert cell["ratio"] == cell["numerator"]["p_hat"] / series
+    assert abs(cell["z_score"]) < 4 and f"z {cell['z_score']:+.2f}" in capsys.readouterr().out
+    header, row = (line.split(",") for line in csvp.read_text().strip().splitlines())
+    assert float(row[header.index("den_p_hat")]) == series
 
 
 def test_ratio_estimation_error_exit_3(tmp_path, capsys):

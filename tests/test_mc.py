@@ -46,7 +46,7 @@ def test_insufficient_survivors_warning():
 def test_smallball_reference():
     est = mc.estimate_tube_prob("bm", d=1, delta=1.0, dt=1e-3, T=1.0,
                                 n_paths=30000, seed=5)
-    ref = sde.bm_tube_survival_theta(1.0, 1.0)
+    ref = sde.flat_ball_survival(1, 1.0, 1.0)
     assert abs(est.p_hat - ref) < 3.5 * est.se
 
 
@@ -66,13 +66,16 @@ def test_ratio_flat_shared_streams_is_one(euclid2_chart):
     assert om.om_action(euclid2_chart, om.zero_field(2)).predicted_ratio() == 1.0
 
 
-def test_ratio_legs_use_independent_streams(euclid2_chart):
+def test_ratio_denominator_is_the_series(euclid2_chart):
     r = mc.estimate_ratio(euclid2_chart, om.zero_field(2), delta=0.5, dt=1e-3,
                           n_paths=20000, seed=5)
-    # flat case with independent streams: survivor counts differ but agree
-    # statistically; the leg seeds derive from different stream keys
-    assert _rng.leg_seed(5, 0) != _rng.leg_seed(5, 1)
-    assert r.numerator.n_survive != r.denominator.n_survive
+    # the flat leg is exact, so the ratio's SE is the X leg's alone, and on
+    # the flat chart the ratio agrees with exp(-S) = 1 statistically
+    den = r.denominator
+    assert den.p_hat == sde.flat_ball_survival(2, 0.5, euclid2_chart.curve.T)
+    assert (den.se, den.n_paths, den.n_survive, den.process) == (0.0, 0, 0, "series")
+    assert r.ratio == r.numerator.p_hat / den.p_hat
+    assert r.ratio_se == r.ratio * r.numerator.se / r.numerator.p_hat
     assert abs(r.ratio - 1.0) < 4 * r.ratio_se
 
 
@@ -96,6 +99,14 @@ def test_ratio_zero_survivors_error(euclid2_chart):
                           dt=4e-5, n_paths=1000, seed=1)
 
 
+def test_ratio_series_underflow_error():
+    # at T/delta^2 = 400 the flat series underflows to 0: refused before any
+    # path runs, not returned as an infinite ratio
+    ch = geo.fermi_chart(geo.euclidean(2), geo.constant_curve(T=1.0), 1.0)
+    with pytest.raises(EstimationError, match="underflows to 0"):
+        mc.estimate_ratio(ch, om.zero_field(2), delta=0.05, dt=4e-5, n_paths=1000, seed=1)
+
+
 def test_ratio_deterministic(euclid2_chart):
     kw = dict(delta=0.5, dt=1e-3, n_paths=20000, seed=11)
     r1 = mc.estimate_ratio(euclid2_chart, om.zero_field(2), **kw)
@@ -104,18 +115,17 @@ def test_ratio_deterministic(euclid2_chart):
 
 
 def test_ratio_threads_invariance(euclid2_chart):
-    # one pool runs both legs; its 3 chunks go to 1, 2 or 3 slices
+    # the X leg's 3 chunks go to 1, 2 or 3 slices
     kw = dict(delta=0.5, dt=1e-3, n_paths=80000)
-    r1, r2, r3 = (mc.estimate_ratio(euclid2_chart, om.zero_field(2), seed=11, threads=n,
-                                    **kw) for n in (1, 2, 3))
-    assert r1.to_dict() == r2.to_dict() == r3.to_dict()
-    # and its legs are the separate estimates on the leg seeds
-    legs = [mc.estimate_tube_prob(process, chart=euclid2_chart, field=om.zero_field(2), d=2,
-                                  T=euclid2_chart.curve.T, seed=_rng.leg_seed(11, leg),
-                                  threads=2, **kw)
-            for leg, process in enumerate(("x", "bm"))]
-    assert [r2.numerator, r2.denominator] == legs
-    assert legs[0].n_survive != legs[1].n_survive
+    rs = [mc.estimate_ratio(euclid2_chart, om.zero_field(2), seed=11, threads=n, **kw)
+          for n in (1, 2, 3)]
+    assert rs[0].to_dict() == rs[1].to_dict() == rs[2].to_dict()
+    # and at each count the numerator is the separate X estimate on leg seed 0
+    for n, r in zip((1, 2, 3), rs):
+        x = mc.estimate_tube_prob("x", chart=euclid2_chart, field=om.zero_field(2),
+                                  T=euclid2_chart.curve.T, seed=_rng.leg_seed(11, 0),
+                                  threads=n, **kw)
+        assert r.numerator == x
 
 
 def test_ratio_prediction_breakdown():
@@ -287,12 +297,12 @@ def test_moment_smaller_delta_agrees_with_its_own_run(sphere2_chart):
 def test_bootstrap_agrees_with_delta_method(euclid2_chart):
     r = mc.estimate_ratio(euclid2_chart, om.zero_field(2), delta=0.6, dt=2e-3,
                           n_paths=20000, seed=8)
-    # parametric bootstrap of the ratio from the two binomial counts
+    # parametric bootstrap of the ratio from the numerator's binomial count
+    # over the exact denominator
     num, den = r.numerator, r.denominator
     rng = np.random.default_rng(1)
     kn = rng.binomial(num.n_paths, num.p_hat, size=500)
-    kd = np.maximum(rng.binomial(den.n_paths, den.p_hat, size=500), 1)
-    boot = float(np.std((kn / num.n_paths) / (kd / den.n_paths), ddof=1))
+    boot = float(np.std((kn / num.n_paths) / den.p_hat, ddof=1))
     assert abs(boot - r.ratio_se) / r.ratio_se < 0.2
 
 

@@ -31,10 +31,11 @@ def theta_oracle_mpmath(delta, T):
 # ---------------------------------------------------------------------------
 
 def test_theta_series_against_mpmath():
+    # in d = 1 the flat-ball series is the theta series
     for delta, T in [(1.0, 1.0), (0.5, 0.25), (2.0, 1.0), (1.0, 0.2)]:
-        assert abs(sde.bm_tube_survival_theta(delta, T)
+        assert abs(sde.flat_ball_survival(1, delta, T)
                    - theta_oracle_mpmath(delta, T)) < 1e-12
-    assert abs(sde.bm_tube_survival_theta(1.0, 1.0) - 0.3707774298) < 1e-9
+    assert abs(sde.flat_ball_survival(1, 1.0, 1.0) - 0.3707774298) < 1e-9
 
 
 def flat_ball_oracle_mpmath(d, delta, T):
@@ -302,15 +303,24 @@ def test_survival_matches_theta_with_bridge():
     cfg = sde.IntegratorConfig(dt=1e-3, T=1.0, delta=1.0, seed=5,
                                bridge_correction=True)
     res = sde.run_tube_ensemble("bm", 1, cfg, 50000)
-    ref = sde.bm_tube_survival_theta(1.0, 1.0)
+    ref = sde.flat_ball_survival(1, 1.0, 1.0)
     se = math.sqrt(ref * (1 - ref) / res.n_paths)
     assert abs(res.survival - ref) < 3.5 * se
+    # and the Bessel series in d = 2 and 3 at the default resolution
+    # dt = delta^2/50 (relative SE 0.7 %)
+    for d, T in [(2, 0.09), (3, 0.054)]:
+        cfg = sde.IntegratorConfig(dt=0.3 ** 2 / 50, T=T, delta=0.3, seed=5,
+                                   bridge_correction=True)
+        res = sde.run_tube_ensemble("bm", d, cfg, 200000)
+        ref = sde.flat_ball_survival(d, 0.3, T)
+        se = math.sqrt(ref * (1 - ref) / res.n_paths)
+        assert abs(res.survival - ref) < 3 * se, d
 
 
 def test_grid_only_monitoring_bias():
     # without the bridge the discrete-maximum estimate exceeds the continuous
     # value and converges from above at roughly sqrt(dt) rate
-    ref = sde.bm_tube_survival_theta(1.0, 1.0)
+    ref = sde.flat_ball_survival(1, 1.0, 1.0)
     dts = (4e-3, 1e-3, 2.5e-4)
     biases = []
     for dt in dts:
